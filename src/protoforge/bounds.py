@@ -19,12 +19,16 @@ deduction semantics by tests.
 
 The bound optimization minimizes the total of all retransmission bounds
 subject to every sequence of the specification reaching its required
-probability.  The solver
-exploits that P is nondecreasing in every bound: per-variable lower bounds
-come from relaxing all other variables to the cap, candidate vectors are
-enumerated in nondecreasing total sum (lexicographic within a sum), and
-infeasibility is reported either analytically via the supremum
-rho/(1 - d*rho) or as exhaustion of the cap.
+probability.  The solver exploits that P is nondecreasing in every bound.  It
+first gallops to an anchor: the least u in 1, 2, 4, ... below the cap whose
+all-u vector is feasible, else the cap itself.  The optimum total is then at
+most k*u for k events, so no bound in it exceeds top = min(cap, k*u), and top
+stands in for the cap from there on: per-variable lower bounds come from
+relaxing all other variables to top, candidate vectors are enumerated in
+nondecreasing total sum (lexicographic within a sum), and a partial vector is
+pruned when it fails some constraint even with its unassigned variables at
+top.  Infeasibility is reported either analytically via the supremum
+rho/(1 - d*rho) or as an infeasible all-cap vector.
 """
 
 from __future__ import annotations
@@ -74,14 +78,17 @@ def _retry_tail(a: int, b: int, d: float) -> float:
 @lru_cache(maxsize=1 << 20)
 def _phase(a: int, rest: tuple, d: float) -> float:
     # Success probability of the remaining events once the previous message
-    # has been delivered, with `a` timeouts left in the previous loop.
+    # has been delivered, with `a` timeouts left in the previous loop.  The
+    # value depends on `a` only through min(a, rest[0]), so callers pass it
+    # clamped and equal values share one memo entry.
     if len(rest) == 1:
         return _retry_tail(a, rest[0], d)
     n_next = rest[0]
+    tail = rest[1:]
     acc = 0.0
     coeff = 1.0 - d
     for j in range(min(a, n_next) + 1):
-        acc += coeff * _phase(n_next - j, rest[1:], d)
+        acc += coeff * _phase(min(n_next - j, tail[0]), tail, d)
         coeff *= d
     return acc
 
@@ -93,7 +100,7 @@ def _sync_prob(bounds: tuple, d: float) -> float:
     acc = 0.0
     coeff = 1.0 - d
     for i in range(bounds[0] + 1):
-        acc += coeff * _phase(bounds[0] - i, bounds[1:], d)
+        acc += coeff * _phase(min(bounds[0] - i, bounds[1]), bounds[1:], d)
         coeff *= d
     return acc
 
@@ -131,6 +138,20 @@ class Infeasible:
 BoundsResult = Union[dict, Infeasible]
 
 
+def _constraints(spec: SpecNode) -> tuple:
+    """The events of a well-posed specification, in first-occurrence order, and
+    one (event indices, required probability) pair per sequence."""
+    report = well_posed(spec)
+    if not report.ok:
+        raise NotWellPosed(report)
+    events = events_of(spec)
+    index = {e: i for i, e in enumerate(events)}
+    constraints = [
+        (tuple(index[e] for e in pseq.events), pseq.p) for pseq in enumerate_sequences(spec)
+    ]
+    return events, constraints
+
+
 def solve_opt(spec: SpecNode, drop_prob: float, cap: int = 512) -> BoundsResult:
     """Minimal-total retransmission bounds meeting every sequence requirement.
 
@@ -140,18 +161,15 @@ def solve_opt(spec: SpecNode, drop_prob: float, cap: int = 512) -> BoundsResult:
     analytic supremum, Infeasible(proven=False) when nothing within the cap
     works.
     """
-    report = well_posed(spec)
-    if not report.ok:
-        raise NotWellPosed(report)
+    return _solve(*_constraints(spec), drop_prob, cap)
+
+
+def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> BoundsResult:
+    # solve_opt on the output of _constraints, so that a sweep over drop
+    # probabilities builds the constraints once.
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     _check_delta(drop_prob)
-
-    events = events_of(spec)
-    index = {e: i for i, e in enumerate(events)}
-    constraints = [
-        (tuple(index[e] for e in pseq.events), pseq.p) for pseq in enumerate_sequences(spec)
-    ]
     k = len(events)
 
     if drop_prob == 0.0:
@@ -173,18 +191,30 @@ def solve_opt(spec: SpecNode, drop_prob: float, cap: int = 512) -> BoundsResult:
     def feasible(vec):
         return all(value(vec, idxs) >= p for idxs, p in constraints)
 
-    cap_vec = [cap] * k
-    if not feasible(cap_vec):
+    # Gallop to the least u in 1, 2, 4, ... below the cap whose all-u vector
+    # is feasible.  The optimum total is then at most k*u, so no bound in the
+    # optimum exceeds top; without such a u, top is the cap.
+    u = 1
+    while u < cap and not feasible([u] * k):
+        u *= 2
+    if u < cap:
+        top = min(cap, k * u)
+    elif feasible([cap] * k):
+        top = cap
+    else:
         return Infeasible(proven=False, reason=f"no feasible bounds with every bound <= {cap}")
+    # One fixed anchor vector: tightening it per trial would make every trial
+    # a distinct memo key.
+    anchor = [top] * k
 
     # Tightest per-variable lower bound: the least value that keeps every
-    # constraint satisfiable with all other variables at the cap.
+    # constraint satisfiable with all other variables at top.
     lower = [0] * k
     for j in range(k):
-        lo, hi = 0, cap
+        lo, hi = 0, top
         while lo < hi:
             mid = (lo + hi) // 2
-            trial = cap_vec.copy()
+            trial = anchor.copy()
             trial[j] = mid
             if feasible(trial):
                 hi = mid
@@ -201,17 +231,16 @@ def solve_opt(spec: SpecNode, drop_prob: float, cap: int = 512) -> BoundsResult:
 
         def go(j, remaining):
             if j == k - 1:
-                if remaining < lower[j] or remaining > cap:
+                if remaining < lower[j] or remaining > top:
                     return False
                 vec[j] = remaining
                 return feasible(vec)
-            hi = min(cap, remaining - suffix_min[j + 1])
+            hi = min(top, remaining - suffix_min[j + 1])
             for n in range(lower[j], hi + 1):
                 vec[j] = n
-                # Monotone pruning: unassigned variables at the cap bound each
+                # Monotone pruning: unassigned variables at top bound each
                 # constraint from above.
-                trial = vec[:j + 1] + cap_vec[j + 1:]
-                if all(value(trial, idxs) >= p for idxs, p in constraints):
+                if feasible(vec[:j + 1] + anchor[j + 1:]):
                     if go(j + 1, remaining - n):
                         return True
             vec[j] = 0
@@ -220,7 +249,7 @@ def solve_opt(spec: SpecNode, drop_prob: float, cap: int = 512) -> BoundsResult:
         return vec if go(0, total) else None
 
     total = suffix_min[0]
-    while total <= cap * k:
+    while total <= top * k:
         found = search(total)
         if found is not None:
             return {e: found[i] for i, e in enumerate(events)}

@@ -3,10 +3,12 @@
     protoforge check    --spec FILE [--delta D] [--cap N]
     protoforge synth    --spec FILE --out DIR [--delta D] [--cap N] [--format F]
     protoforge verify   CSA.json ... --spec FILE [--delta D]
-    protoforge simulate CSA.json ... --spec FILE [--delta D] --runs N --seed K
+    protoforge simulate CSA.json ... --spec FILE [--delta D] [--runs N] [--seed K]
                         [--traces --out DIR]
     protoforge feasible --spec FILE [--grid-n A:B:S] [--grid-dmax A:B:S]
                         [--grid-tau A:B:S] [--cap N] [--out DIR]
+
+--cap and --runs take nonnegative integers.
 
 Exit codes: 0 success, 1 requirement not met (unrealizable or verification
 failure), 2 malformed input or I/O error, 3 exploration budget exhausted.
@@ -176,25 +178,36 @@ def cmd_feasible(args) -> int:
     return EXIT_OK
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="protoforge", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, csas=False):
+    def common(p, csas=False, cap=False):
         p.add_argument("--spec", required=True, help="protocol specification (.psl)")
         p.add_argument("--delta", type=float, default=None,
                        help="override the drop-probability bound")
-        p.add_argument("--cap", type=int, default=512,
-                       help="largest retransmission bound searched")
+        if cap:
+            p.add_argument("--cap", type=_nonnegative_int, default=512,
+                           help="largest retransmission bound searched")
         if csas:
             p.add_argument("csas", nargs="+", metavar="CSA.json")
 
     p = sub.add_parser("check", help="well-posedness and realizability")
-    common(p)
+    common(p, cap=True)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("synth", help="synthesize one CSA per car")
-    common(p)
+    common(p, cap=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--format", choices=["dot", "json"], default=None,
                    help="restrict CSA output to one format")
@@ -206,18 +219,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo simulation of CSA files")
     common(p, csas=True)
-    p.add_argument("--runs", type=int, default=10000)
+    p.add_argument("--runs", type=_nonnegative_int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--traces", action="store_true", help="write trace JSONL files")
     p.add_argument("--out", default=None, help="output directory for traces")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("feasible", help="realizability sweep over medium parameters")
-    common(p)
+    common(p, cap=True)
     p.add_argument("--grid-n", default="2:11:1", help="car-count grid START:STOP:STEP")
     p.add_argument("--grid-dmax", default="100:1000:100", help="data-length grid")
     p.add_argument("--grid-tau", default="1:10:1", help="minimum-delay grid")
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.add_argument("--out", default=None, help="also write feasibility.csv here")
     p.set_defaults(func=cmd_feasible)
 

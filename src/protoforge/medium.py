@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .bounds import Infeasible, solve_opt
-from .errors import InvalidParams, NotWellPosed
-from .speclang import SpecNode, well_posed
+from .bounds import Infeasible, _constraints, _solve
+from .errors import InvalidParams
+from .speclang import SpecNode
 
 SIGMOID_SCALE = 4.0
 SIGMOID_RATE = 0.002
@@ -72,16 +72,14 @@ def feasibility_sweep(
     cap: int = 512,
 ) -> list[SweepRow]:
     """Realizability of the specification at every grid point, in grid order."""
-    report = well_posed(spec)
-    if not report.ok:
-        raise NotWellPosed(report)
+    events, constraints = _constraints(spec)
     rows = []
     for n in grid_n:
         for dm in grid_dmax:
             for tau in grid_tau:
                 params = MediumParams(n, dm, tau, a, b)
                 delta = drop_prob(params)
-                solved = solve_opt(spec, delta, cap=cap)
+                solved = _solve(events, constraints, delta, cap)
                 ok = not isinstance(solved, Infeasible)
                 rows.append(SweepRow(
                     n_cars=n,

@@ -144,6 +144,20 @@ def test_solve_opt_cap_exhaustion_is_distinct():
     assert not result.proven
 
 
+def test_solve_opt_work_stays_small_on_a_four_event_chain():
+    # Counts memo lookups rather than time, so it holds on any machine.  A
+    # search anchored at the cap instead of a galloped bound makes 4.56M here.
+    from protoforge import bounds
+
+    spec = parse_spec("delta 0.6; cars A B; e0 A->B . e1 B->A . e2 A->B . e3 B->A : 0.49")
+    bounds._phase.cache_clear()
+    bounds._sync_prob.cache_clear()
+    solved = solve_opt(spec.protocol, 0.6)
+    info = bounds._phase.cache_info()
+    assert list(solved.values()) == [9, 8, 8, 3]
+    assert info.hits + info.misses < 200_000
+
+
 def test_solve_opt_rejects_ill_posed():
     spec = parse_spec("delta 0.2; cars A B; e A->B : 0.5")
     with pytest.raises(NotWellPosed):

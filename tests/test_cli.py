@@ -200,3 +200,45 @@ def test_feasible_deterministic(tmp_path, spec_file, capsys):
     code2, out2, _ = run(capsys, argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def rejected(capsys, argv):
+    # Argument errors stop in argparse: exit 2, usage on stderr only.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_check_negative_cap_rejected_before_any_report(spec_file, capsys):
+    code, out, err = rejected(capsys, ["check", "--spec", str(spec_file), "--cap", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "--cap" in err
+
+
+def test_simulate_negative_runs_rejected(spec_file, synth_dir, capsys):
+    code, out, err = rejected(capsys, [
+        "simulate", str(synth_dir / "A.json"), str(synth_dir / "B.json"),
+        "--spec", str(spec_file), "--runs", "-5",
+    ])
+    assert code == 2
+    assert out == ""
+    assert "--runs" in err
+
+
+def test_cap_zero_is_accepted(spec_file, capsys):
+    code, out, _ = run(capsys, ["check", "--spec", str(spec_file), "--cap", "0"])
+    assert code == 1
+    assert "realizable: no (no feasible bounds with every bound <= 0)" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "A.json", "--cap", "3"],
+    ["simulate", "A.json", "--cap", "3"],
+    ["feasible", "--format", "csv"],
+])
+def test_dead_flags_are_gone(spec_file, capsys, argv):
+    code, out, _ = rejected(capsys, argv + ["--spec", str(spec_file)])
+    assert code == 2
+    assert out == ""

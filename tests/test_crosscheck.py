@@ -108,24 +108,30 @@ def test_distinct_deduction_sum_three_event_chain(chain3_spec):
         assert brute == pytest.approx(merged, abs=1e-12)
 
 
-def brute_force_opt(tree, delta, cap):
+def compositions(total, parts):
+    """Vectors of `parts` nonnegative integers summing to `total`, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def brute_force_by_total(tree, delta, cap=None):
+    """The first feasible vector in (total, lexicographic) order, with no bound
+    above `cap`; without a cap the totals are unbounded, so the specification
+    must be realizable."""
     events = events_of(tree)
     seqs = enumerate_sequences(tree)
-
-    def feasible(vec):
-        lookup = dict(zip(events, vec))
-        return all(
-            sync_prob([lookup[e] for e in pseq.events], delta) >= pseq.p for pseq in seqs
-        )
-
-    best = None
-    for total in range(0, cap * len(events) + 1):
-        for vec in itertools.product(range(cap + 1), repeat=len(events)):
-            if sum(vec) != total:
+    totals = itertools.count() if cap is None else range(cap * len(events) + 1)
+    for total in totals:
+        for vec in compositions(total, len(events)):
+            if cap is not None and max(vec) > cap:
                 continue
-            if feasible(vec):
-                best = dict(zip(events, vec))
-                return best
+            if all(sync_prob([vec[events.index(e)] for e in pseq.events], delta) >= pseq.p
+                   for pseq in seqs):
+                return dict(zip(events, vec))
     return None
 
 
@@ -137,7 +143,7 @@ def test_solver_matches_brute_force_in_sum_then_lex_order():
         if len(events_of(tree)) > 4:
             continue
         delta = rng.uniform(0.05, 0.5)
-        expected = brute_force_opt(tree, delta, cap=4)
+        expected = brute_force_by_total(tree, delta, cap=4)
         solved = solve_opt(tree, delta, cap=4)
         if expected is None:
             assert isinstance(solved, Infeasible)
@@ -148,6 +154,57 @@ def test_solver_matches_brute_force_in_sum_then_lex_order():
                 f"{list(expected.values())} at delta={delta}"
             )
             checked += 1
+
+
+def _check_against_brute_force(tree, delta):
+    # solve_opt at its default cap against the uncapped brute force, then at
+    # small caps and one below the optimum's largest bound, where the answer
+    # is Infeasible(proven=False) exactly when the all-cap vector fails.
+    solved = solve_opt(tree, delta)
+    if isinstance(solved, Infeasible):
+        assert solved.proven, f"{solved} at delta={delta}"
+        return False
+    expected = brute_force_by_total(tree, delta)
+    assert solved == expected, (
+        f"solver {list(solved.values())} vs brute force "
+        f"{list(expected.values())} at delta={delta}"
+    )
+    seqs = enumerate_sequences(tree)
+    for cap in sorted({0, 1, 3, 5, max(solved.values()) - 1} - {-1}):
+        capped = solve_opt(tree, delta, cap=cap)
+        all_cap_feasible = all(
+            sync_prob([cap] * len(pseq.events), delta) >= pseq.p for pseq in seqs
+        )
+        if not all_cap_feasible:
+            assert capped == Infeasible(
+                proven=False, reason=f"no feasible bounds with every bound <= {cap}")
+        else:
+            assert capped == brute_force_by_total(tree, delta, cap=cap), (
+                f"cap={cap} delta={delta}")
+    return True
+
+
+def test_solver_matches_uncapped_brute_force_at_default_cap():
+    # At the default cap the search is anchored at the galloped bound rather
+    # than at the cap, unlike the cap=4 comparison above.
+    rng = random.Random(4096)
+    checked = 0
+    while checked < 25:
+        tree = random_dialogue(rng, max_events=4)
+        if len(events_of(tree)) > 4:
+            continue
+        checked += _check_against_brute_force(tree, rng.uniform(0.05, 0.6))
+
+
+@pytest.mark.parametrize("length", [3, 4])
+@pytest.mark.parametrize("delta,p", [(0.5, 0.3), (0.5, 0.51), (0.6, 0.38), (0.6, 0.49), (0.6, 0.5)])
+def test_solver_matches_uncapped_brute_force_on_chains(length, delta, p):
+    # At delta 0.6 the 3-event optima for 0.38 and 0.5 are (5, 3, 1) and
+    # (9, 7, 3): a bound above the galloped u (4 and 8), below k*u.
+    events = " . ".join(
+        f"e{i} {'A->B' if i % 2 == 0 else 'B->A'}" for i in range(length))
+    tree = parse_spec(f"delta {delta}; cars A B; {events} : {p}").protocol
+    assert _check_against_brute_force(tree, delta)
 
 
 MIXED_TEXT = "delta 0.2; cars A B; a A->B(d) . (b B->A : 0.6 | c B->A . d A->B : 0.5)"

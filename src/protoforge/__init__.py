@@ -43,13 +43,10 @@ from .semantics import (
     GlobalConfig,
     LocalConfig,
     MonteCarloResult,
-    Scenario,
     check_correctness,
-    compute_sync_prob,
     explore_sync,
     global_steps,
     initial_config,
-    local_steps,
     project,
     run_monte_carlo,
 )

@@ -8,7 +8,7 @@
     protoforge feasible --spec FILE [--grid-n A:B:S] [--grid-dmax A:B:S]
                         [--grid-tau A:B:S] [--cap N] [--out DIR]
 
---cap and --runs take nonnegative integers.
+--cap takes a nonnegative integer, --runs a positive one.
 
 Exit codes: 0 success, 1 requirement not met (unrealizable or verification
 failure), 2 malformed input or I/O error, 3 exploration budget exhausted.
@@ -34,7 +34,7 @@ from .errors import (
     SpecSyntaxError,
     Unrealizable,
 )
-from .semantics import Scenario, check_correctness, run_monte_carlo
+from .semantics import check_correctness, run_monte_carlo
 from .speclang import FullSpec, enumerate_sequences, parse_spec, well_posed
 from .synthesis import bounds_by_name, synthesize_all
 
@@ -131,13 +131,12 @@ def cmd_simulate(args) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     for i, pseq in enumerate(enumerate_sequences(full.protocol)):
-        scenario = Scenario.for_sequence(pseq.events)
         result = run_monte_carlo(
-            csas, full.delta, scenario, runs=args.runs, seed=args.seed,
+            csas, full.delta, pseq.events, runs=args.runs, seed=args.seed,
             collect_traces=args.traces,
         )
         rate = result.empirical_rate
-        stderr = math.sqrt(rate * (1.0 - rate) / result.runs) if result.runs else 0.0
+        stderr = math.sqrt(rate * (1.0 - rate) / result.runs)
         names = ".".join(e.name for e in pseq.events)
         print(f"  {names}: {result.successes}/{result.runs} rate {rate!r} stderr {stderr!r}")
         if args.traces:
@@ -162,7 +161,7 @@ def _parse_grid(text: str, integer: bool) -> list:
 
 
 def cmd_feasible(args) -> int:
-    full = _load_spec(args.spec, args.delta)
+    full = _load_spec(args.spec, None)
     grid_n = _parse_grid(args.grid_n, integer=True)
     grid_dmax = _parse_grid(args.grid_dmax, integer=False)
     grid_tau = _parse_grid(args.grid_tau, integer=False)
@@ -178,14 +177,16 @@ def cmd_feasible(args) -> int:
     return EXIT_OK
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", type=float, default=None,
                        help="override the drop-probability bound")
         if cap:
-            p.add_argument("--cap", type=_nonnegative_int, default=512,
+            p.add_argument("--cap", type=_int_at_least(0), default=512,
                            help="largest retransmission bound searched")
         if csas:
             p.add_argument("csas", nargs="+", metavar="CSA.json")
@@ -219,14 +220,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo simulation of CSA files")
     common(p, csas=True)
-    p.add_argument("--runs", type=_nonnegative_int, default=10000)
+    p.add_argument("--runs", type=_int_at_least(1), default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--traces", action="store_true", help="write trace JSONL files")
     p.add_argument("--out", default=None, help="output directory for traces")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("feasible", help="realizability sweep over medium parameters")
-    common(p, cap=True)
+    p.add_argument("--spec", required=True, help="protocol specification (.psl)")
+    p.add_argument("--cap", type=_int_at_least(0), default=512,
+                   help="largest retransmission bound searched")
     p.add_argument("--grid-n", default="2:11:1", help="car-count grid START:STOP:STEP")
     p.add_argument("--grid-dmax", default="100:1000:100", help="data-length grid")
     p.add_argument("--grid-tau", default="1:10:1", help="minimum-delay grid")

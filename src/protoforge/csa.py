@@ -137,9 +137,6 @@ class Csa:
     finals: frozenset[StateId]
     transitions: dict[tuple[StateId, TransitionLabel], StateId]
 
-    def outgoing(self, state: StateId) -> list[tuple[TransitionLabel, StateId]]:
-        return [(label, dst) for (src, label), dst in self.transitions.items() if src == state]
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -324,8 +321,26 @@ def _event_to_json(event: LocalEvent) -> dict:
     return out
 
 
+def _get(obj, key: str, typ: type, optional: bool = False):
+    """obj[key] if obj is a JSON object holding a value of exactly type typ (so
+    a boolean is not an integer), else ValueError; an optional key may be
+    absent or null, giving None."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object holding {key!r}, got {type(obj).__name__}")
+    value = obj.get(key)
+    if value is None and optional:
+        return None
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    if type(value) is not typ:
+        raise ValueError(f"{key!r} must be of type {typ.__name__}, got {json.dumps(value)}")
+    return value
+
+
 def _event_from_json(obj: dict) -> LocalEvent:
-    return LocalEvent(obj["name"], obj["peer"], obj.get("data"), obj["kind"], obj.get("special"))
+    return LocalEvent(_get(obj, "name", str), _get(obj, "peer", str),
+                      _get(obj, "data", str, optional=True), _get(obj, "kind", str),
+                      _get(obj, "special", str, optional=True))
 
 
 def _msg_to_json(msg: Message) -> dict:
@@ -336,11 +351,16 @@ def _msg_to_json(msg: Message) -> dict:
 
 
 def _msg_from_json(obj: dict) -> Message:
-    return Message(obj["id"], obj["src"], obj["dst"], obj.get("data"))
+    return Message(_get(obj, "id", str), _get(obj, "src", str), _get(obj, "dst", str),
+                   _get(obj, "data", str, optional=True))
 
 
 def _cond_to_json(cond: Condition) -> dict:
     return {"var": cond.var, "op": cond.op, "bound": cond.bound}
+
+
+def _cond_from_json(obj: dict) -> Condition:
+    return Condition(_get(obj, "var", str), _get(obj, "op", str), _get(obj, "bound", int))
 
 
 def _label_to_json(label: TransitionLabel) -> dict:
@@ -365,23 +385,24 @@ def _label_to_json(label: TransitionLabel) -> dict:
 
 
 def _label_from_json(obj: dict) -> TransitionLabel:
-    kind = obj["kind"]
+    kind = _get(obj, "kind", str)
     if kind == "env":
-        return EnvEvent(_event_from_json(obj["event"]))
+        return EnvEvent(_event_from_json(_get(obj, "event", dict)))
     if kind == "sys-cond":
-        c = obj["cond"]
-        return SysCond(_event_from_json(obj["event"]), Condition(c["var"], c["op"], c["bound"]))
+        return SysCond(_event_from_json(_get(obj, "event", dict)),
+                       _cond_from_json(_get(obj, "cond", dict)))
     if kind == "timeout-sys":
-        return TimeoutSys(_event_from_json(obj["event"]))
+        return TimeoutSys(_event_from_json(_get(obj, "event", dict)))
     if kind == "timeout-upd":
-        return TimeoutUpd(obj["var"])
+        return TimeoutUpd(_get(obj, "var", str))
     if kind == "broadcast":
-        c = obj["cond"]
-        return BroadcastCond(_msg_from_json(obj["msg"]), Condition(c["var"], c["op"], c["bound"]))
+        return BroadcastCond(_msg_from_json(_get(obj, "msg", dict)),
+                             _cond_from_json(_get(obj, "cond", dict)))
     if kind == "recv-sys":
-        return RecvSys(_msg_from_json(obj["msg"]), _event_from_json(obj["event"]))
+        return RecvSys(_msg_from_json(_get(obj, "msg", dict)),
+                       _event_from_json(_get(obj, "event", dict)))
     if kind == "recv-upd":
-        return RecvUpd(_msg_from_json(obj["msg"]), obj["var"])
+        return RecvUpd(_msg_from_json(_get(obj, "msg", dict)), _get(obj, "var", str))
     raise ValueError(f"unknown transition kind {kind!r}")
 
 
@@ -402,20 +423,39 @@ def export_json(csa: Csa) -> str:
 
 
 def import_json(text: str) -> Csa:
-    doc = json.loads(text)
-    states = tuple(s["id"] for s in doc["states"])
-    finals = frozenset(s["id"] for s in doc["states"] if s["final"])
+    """Parse a CSA file written by export_json.
+
+    Raises ValueError when the text is not JSON, when a key is missing or
+    holds a value of the wrong type, or when `validate` reports problems.
+    """
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("CSA file nests too deeply") from None
+    states = _get(doc, "states", list)
+    finals = frozenset(_get(s, "id", str) for s in states if _get(s, "final", bool))
+    variables = _get(doc, "vars", list)
+    if any(type(v) is not str for v in variables):
+        raise ValueError(f"'vars' must be a list of strings, got {json.dumps(variables)}")
     transitions = {}
-    for t in doc["transitions"]:
-        transitions[(t["from"], _label_from_json(t["label"]))] = t["to"]
-    return Csa(
-        owner=doc["owner"],
-        states=states,
-        vars=tuple(doc["vars"]),
-        init=doc["init"],
+    for i, t in enumerate(_get(doc, "transitions", list)):
+        try:
+            key = (_get(t, "from", str), _label_from_json(_get(t, "label", dict)))
+            transitions[key] = _get(t, "to", str)
+        except ValueError as exc:
+            raise ValueError(f"transition {i}: {exc}") from None
+    csa = Csa(
+        owner=_get(doc, "owner", str),
+        states=tuple(_get(s, "id", str) for s in states),
+        vars=tuple(variables),
+        init=_get(doc, "init", str),
         finals=finals,
         transitions=transitions,
     )
+    report = validate(csa)
+    if not report.ok:
+        raise ValueError(f"invalid CSA for {csa.owner!r}: " + "; ".join(report.problems))
+    return csa
 
 
 def label_text(label: TransitionLabel) -> str:

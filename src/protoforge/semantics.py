@@ -11,13 +11,15 @@ When no broadcast is pending, the priority holder moves; timeouts fire only
 when it has no immediate move, and only when it has neither may another CSA
 take over.
 
-Environment-triggered choices are resolved by a Scenario: the ordered calls
-the ASCs make to generate one target sequence of global events.  Exploration
-therefore computes the probability that the CSAs synchronize that sequence
-given that exactly those calls are made; env transitions outside the scenario
-are never taken (for synthesized CSAs they can only start zero-contribution
-branches, and no synthesized state mixes env transitions with timeouts or
-receptions, so rule selection is unaffected).
+Environment-triggered choices are resolved by the target sequence sigma: the
+ordered calls the ASCs make to generate it.  Exploration therefore computes
+the probability that the CSAs synchronize sigma given that exactly those calls
+are made; env transitions outside sigma are never taken (for synthesized CSAs
+they can only start zero-contribution branches, and no synthesized state mixes
+env transitions with timeouts or receptions, so rule selection is unaffected).
+
+All these rules are implemented once, in `_Engine`; exact exploration, Monte
+Carlo sampling, traced runs and `global_steps` only drive it.
 """
 
 from __future__ import annotations
@@ -157,76 +159,6 @@ class GlobalConfig:
     locals: dict[str, LocalConfig]
     priority: str
     prob: float
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """The ordered environment-triggered calls that generate one sequence."""
-
-    calls: tuple[GlobalEvent, ...]
-
-    @staticmethod
-    def for_sequence(events: Sequence[GlobalEvent]) -> "Scenario":
-        return Scenario(tuple(events))
-
-
-# ---------------------------------------------------------------------------
-# Local rules
-
-
-def local_steps(csa: Csa, cfg: LocalConfig, incoming: Optional[Message] = None):
-    """All single-CSA successors from cfg, as (rule, emitted items, successor).
-
-    `incoming` is the reception at the tail of the deduced sequence, if any;
-    reception rules fire only against it.  Emitted items are what the step
-    appends to the sequence (a reception-update appends nothing: the reception
-    is already at the tail).
-    """
-    owner = csa.owner
-    vals = dict(cfg.valuation)
-    out = []
-
-    def succ(state, updates=()):
-        v = dict(vals)
-        for var in updates:
-            v[var] += 1
-        return LocalConfig(state, tuple((name, v[name]) for name, _ in cfg.valuation))
-
-    for (src, label), dst in csa.transitions.items():
-        if src != cfg.state:
-            continue
-        if isinstance(label, EnvEvent):
-            e = label.event
-            out.append(("env", (EnvItem(owner, e.name, e.peer, e.data),), succ(dst)))
-        elif isinstance(label, SysCond):
-            if label.cond.holds(vals[label.cond.var]):
-                e = label.event
-                out.append(("sys-cond", (SysItem(owner, e.name, e.peer, e.data, e.special),),
-                            succ(dst)))
-        elif isinstance(label, TimeoutSys):
-            e = label.event
-            out.append(("timeout-sys",
-                        (TimeoutItem(owner, e.name), SysItem(owner, e.name, e.peer, e.data, e.special)),
-                        succ(dst)))
-        elif isinstance(label, TimeoutUpd):
-            out.append(("timeout-upd", (TimeoutItem(owner, label.var),), succ(dst, (label.var,))))
-        elif isinstance(label, BroadcastCond):
-            if label.cond.holds(vals[label.cond.var]):
-                out.append(("broadcast", (BroadcastItem(label.msg),), succ(dst)))
-        elif isinstance(label, RecvSys):
-            if incoming is not None and label.msg == incoming:
-                e = label.event
-                out.append(("recv-sys", (SysItem(owner, e.name, e.peer, e.data, e.special),),
-                            succ(dst)))
-        elif isinstance(label, RecvUpd):
-            if incoming is not None and label.msg == incoming:
-                out.append(("recv-upd", (), succ(dst, (label.var,))))
-    return out
-
-
-_E_RULES = ("env", "sys-cond", "broadcast")
-_T_RULES = ("timeout-sys", "timeout-upd")
-_R_RULES = ("recv-sys", "recv-upd")
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +307,8 @@ class _Engine:
                                           parts | (1 << x)), items))
         return out
 
-    def _r_steps(self, cfg, x, msg, tail_after, want_items):
-        # Reception steps of x against message msg at the tail; tail_after is
-        # what remains at the tail when the reception is consumed by recv-sys.
+    def _r_steps(self, cfg, x, msg, want_items):
+        # Reception steps of x against message msg at the tail.
         locals_, pr, tail, done, pending, parts = cfg
         state, vals = locals_[x]
         m = self.machines[x]
@@ -388,7 +319,7 @@ class _Engine:
                 nd, np = self._sys_proj(e, m.owner, done, pending)
                 nl = self._set_local(locals_, x, dst, vals)
                 items = (SysItem(m.owner, e.name, e.peer, e.data, e.special),) if want_items else ()
-                out.append(_Succ("free", (nl, x, tail_after, nd, np, parts | (1 << x)), items))
+                out.append(_Succ("free", (nl, x, _TAIL_OTHER, nd, np, parts | (1 << x)), items))
             else:
                 _, vi, dst = entry
                 nv = vals[:vi] + (vals[vi] + 1,) + vals[vi + 1:]
@@ -426,34 +357,28 @@ class _Engine:
             z = self.car_idx.get(msg.dst)
             received = []
             if z is not None:
-                with_recv = (locals_, pr, tail, done, pending, parts)
-                for s in self._r_steps(with_recv, z, msg, _TAIL_OTHER, want_items):
-                    if s.cfg is _DEAD:
-                        received.append(s)
-                        continue
-                    nl, _, ntail, nd, np, nparts = s.cfg
+                for s in self._r_steps(cfg, z, msg, want_items):
                     items = ((RecvItem(msg),) + s.items) if want_items else ()
-                    received.append(_Succ("deliver", (nl, z, ntail, nd, np, nparts), items))
+                    received.append(_Succ("deliver", s.cfg, items))
             if received:
                 dropped = _Succ("drop", (locals_, z, restore, done, pending, parts), ())
                 return ("medium", received, dropped)
             nacc_pr = z if z is not None else pr
             return ("free", [_Succ("nacc", (locals_, nacc_pr, restore, done, pending, parts), ())])
 
-        here = (locals_, pr, tail, done, pending, parts)
-        succs = self._e_steps(here, pr, want_items)
+        succs = self._e_steps(cfg, pr, want_items)
         if succs:
             return ("free", succs)
-        succs = self._t_steps(here, pr, want_items)
+        succs = self._t_steps(cfg, pr, want_items)
         if succs:
             return ("free", succs)
         # Hand-off: any CSA may act, by any rule; the actor takes the priority.
         out = []
         for x in range(len(self.machines)):
-            out.extend(self._e_steps(here, x, want_items))
-            out.extend(self._t_steps(here, x, want_items))
+            out.extend(self._e_steps(cfg, x, want_items))
+            out.extend(self._t_steps(cfg, x, want_items))
             if tail[0] == "r":
-                out.extend(self._r_steps(here, x, tail[1], _TAIL_OTHER, want_items))
+                out.extend(self._r_steps(cfg, x, tail[1], want_items))
         return ("free", out)
 
     def is_success(self, cfg) -> bool:
@@ -475,7 +400,9 @@ class ExplorationResult:
     probability: float
     configs_processed: int
     scheduler_branching: bool
-    max_conservation_error: float = 0.0
+    # |success + failure - 1| once the frontier is empty; meaningful only
+    # without scheduler branching, where each deduction carries its own mass.
+    conservation_error: float
 
 
 def explore_sync(
@@ -483,7 +410,6 @@ def explore_sync(
     drop_prob: float,
     sigma: Sequence[GlobalEvent],
     budget: Optional[int] = None,
-    check_conservation: bool = False,
     start_priority: Optional[str] = None,
 ) -> ExplorationResult:
     """Sum the probabilities of all deductions that synchronize sigma.
@@ -502,7 +428,6 @@ def explore_sync(
     failure = 0.0
     processed = 0
     branching = False
-    max_err = 0.0
     while frontier:
         processed += 1
         if processed > budget:
@@ -521,10 +446,7 @@ def explore_sync(
                 branching = True
             if deliver_p > 0.0:
                 for s in received:
-                    if s.cfg is _DEAD:
-                        failure += mass * deliver_p
-                    else:
-                        frontier[s.cfg] = frontier.get(s.cfg, 0.0) + mass * deliver_p
+                    frontier[s.cfg] = frontier.get(s.cfg, 0.0) + mass * deliver_p
             if drop_prob > 0.0:
                 frontier[dropped.cfg] = frontier.get(dropped.cfg, 0.0) + mass * drop_prob
         else:
@@ -539,21 +461,7 @@ def explore_sync(
                     failure += mass
                 else:
                     frontier[s.cfg] = frontier.get(s.cfg, 0.0) + mass
-        if check_conservation and not branching:
-            live = sum(frontier.values())
-            max_err = max(max_err, abs(success + failure + live - 1.0))
-    return ExplorationResult(success, processed, branching, max_err)
-
-
-def compute_sync_prob(
-    csas: Sequence[Csa],
-    drop_prob: float,
-    sigma: Sequence[GlobalEvent],
-    budget: Optional[int] = None,
-) -> float:
-    """The probability that the CSAs correctly synchronize sigma, given that
-    the ASCs make exactly the calls that generate it."""
-    return explore_sync(csas, drop_prob, sigma, budget=budget).probability
+    return ExplorationResult(success, processed, branching, abs(success + failure - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +496,7 @@ def check_correctness(
     least as likely as required."""
     checks = []
     for pseq in enumerate_sequences(spec):
-        achieved = compute_sync_prob(csas, drop_prob, pseq.events, budget=budget)
+        achieved = explore_sync(csas, drop_prob, pseq.events, budget=budget).probability
         bounded = min(max(achieved, 0.0), 1.0)
         ok = satisfies(PSequence(pseq.events, bounded), spec)
         checks.append(SequenceCheck(pseq.events, pseq.p, achieved, ok))
@@ -611,7 +519,7 @@ class MonteCarloResult:
 def run_monte_carlo(
     csas: Sequence[Csa],
     drop_prob: float,
-    scenario: Scenario,
+    sigma: Sequence[GlobalEvent],
     runs: int,
     seed: int,
     collect_traces: bool = False,
@@ -625,9 +533,11 @@ def run_monte_carlo(
     """
     import random
 
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     if budget is None:
         budget = exploration_budget()
-    engine = _Engine(csas, scenario.calls)
+    engine = _Engine(csas, sigma)
 
     # Between medium resolutions the walk is deterministic, so the reachable
     # graph collapses to a binary DAG over configurations; memoize it.
@@ -695,7 +605,7 @@ def run_monte_carlo(
             dropped = drop_prob > 0.0 and rng.random() < drop_prob
             cfg = node[2] if dropped else node[1]
     failures = runs - successes
-    return MonteCarloResult(runs, successes, failures, successes / runs if runs else 0.0, traces)
+    return MonteCarloResult(runs, successes, failures, successes / runs, traces)
 
 
 def _sample_traced(engine: _Engine, drop_prob: float, rng, budget: int):
@@ -716,8 +626,6 @@ def _sample_traced(engine: _Engine, drop_prob: float, rng, budget: int):
                 cfg = dropped.cfg
             else:
                 succ = received[0]
-                if succ.cfg is _DEAD:
-                    return "failure", rho, _final_states(engine, cfg)
                 rho.pop()
                 rho.extend(succ.items)
                 cfg = succ.cfg
@@ -750,10 +658,10 @@ def global_steps(
     csas: Sequence[Csa],
     drop_prob: float,
     gcfg: GlobalConfig,
-    scenario: Scenario,
+    sigma: Sequence[GlobalEvent],
 ) -> list[GlobalConfig]:
     """All one-step successors of a global configuration under the global rules."""
-    engine = _Engine(csas, scenario.calls)
+    engine = _Engine(csas, sigma)
     locals_ = tuple(
         (engine.machines[x].state_idx[gcfg.locals[car].state],
          tuple(v for _, v in gcfg.locals[car].valuation))

@@ -32,6 +32,7 @@ from .csa import (
     SysCond,
     TimeoutSys,
     TimeoutUpd,
+    _label_vars,
 )
 from .errors import MissingBound, NotWellPosed, Unrealizable
 from .speclang import CarId, FullSpec, GlobalEvent, Leaf, Or, Seq, SpecNode, events_of, well_posed
@@ -158,7 +159,7 @@ def synthesize_for_car(spec: SpecNode, car: CarId, bounds: BoundsVector) -> Csa:
 
     partial, _ = syn(spec, 0, {})
     name = {idx: f"s{idx}" for idx in sorted(partial.states)}
-    used = {v for (_, label) in partial.trans for v in _counters_in(label)}
+    used = {v for (_, label) in partial.trans for v in _label_vars(label)}
     return Csa(
         owner=car,
         states=tuple(name[idx] for idx in sorted(partial.states)),
@@ -169,16 +170,6 @@ def synthesize_for_car(spec: SpecNode, car: CarId, bounds: BoundsVector) -> Csa:
             (name[src], label): name[dst] for (src, label), dst in partial.trans.items()
         },
     )
-
-
-def _counters_in(label):
-    if isinstance(label, (SysCond, BroadcastCond)):
-        return [label.cond.var]
-    if isinstance(label, TimeoutUpd):
-        return [label.var]
-    if isinstance(label, RecvUpd):
-        return [label.var]
-    return []
 
 
 @dataclass(frozen=True)

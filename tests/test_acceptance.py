@@ -15,9 +15,8 @@ import pytest
 
 from protoforge import (
     Infeasible,
-    Scenario,
-    compute_sync_prob,
     enumerate_sequences,
+    explore_sync,
     feasibility_sweep,
     isomorphic,
     parse_spec,
@@ -82,7 +81,7 @@ def test_formula_semantics_agreement(example_spec):
         csas = [synthesize_for_car(example_spec.protocol, c, bounds) for c in ("A", "B")]
         for d in deltas:
             for pseq in seqs:
-                exact = compute_sync_prob(csas, d, pseq.events)
+                exact = explore_sync(csas, d, pseq.events).probability
                 formula = sync_prob([bounds[e] for e in pseq.events], d)
                 worst = max(worst, abs(exact - formula))
     elapsed = time.perf_counter() - start
@@ -104,7 +103,7 @@ def test_monte_carlo_consistency(example_spec, example_synthesis):
     exact = R_SND_ACK_31
     runs = 100_000
     start = time.perf_counter()
-    result = run_monte_carlo(csas, 0.35, Scenario.for_sequence(sigma), runs=runs, seed=20130408)
+    result = run_monte_carlo(csas, 0.35, sigma, runs=runs, seed=20130408)
     elapsed = time.perf_counter() - start
     band = 3.0 * math.sqrt(exact * (1.0 - exact) / runs)
     assert abs(result.empirical_rate - exact) < band, (

@@ -218,13 +218,14 @@ def test_check_negative_cap_rejected_before_any_report(spec_file, capsys):
 
 
 def test_simulate_negative_runs_rejected(spec_file, synth_dir, capsys):
-    code, out, err = rejected(capsys, [
-        "simulate", str(synth_dir / "A.json"), str(synth_dir / "B.json"),
-        "--spec", str(spec_file), "--runs", "-5",
-    ])
-    assert code == 2
-    assert out == ""
-    assert "--runs" in err
+    for runs in ("-5", "0"):
+        code, out, err = rejected(capsys, [
+            "simulate", str(synth_dir / "A.json"), str(synth_dir / "B.json"),
+            "--spec", str(spec_file), "--runs", runs,
+        ])
+        assert code == 2
+        assert out == ""
+        assert "--runs" in err
 
 
 def test_cap_zero_is_accepted(spec_file, capsys):
@@ -237,8 +238,27 @@ def test_cap_zero_is_accepted(spec_file, capsys):
     ["verify", "A.json", "--cap", "3"],
     ["simulate", "A.json", "--cap", "3"],
     ["feasible", "--format", "csv"],
+    ["feasible", "--delta", "0.9"],
 ])
 def test_dead_flags_are_gone(spec_file, capsys, argv):
     code, out, _ = rejected(capsys, argv + ["--spec", str(spec_file)])
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({"owner": "A", "states": 5}), "'states' must be of type list, got 5"),
+    (json.dumps({"owner": "A", "states": [{"id": "s0", "final": True}], "init": "zz",
+                 "vars": [], "transitions": []}),
+     "invalid CSA for 'A': initial state 'zz' is not declared"),
+    ("[" * 100_000 + "]" * 100_000, "CSA file nests too deeply"),
+], ids=["states-not-a-list", "undeclared-init", "deep-nesting"])
+def test_verify_rejects_malformed_csa_file(tmp_path, spec_file, synth_dir, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, [
+        "verify", str(bad), str(synth_dir / "B.json"), "--spec", str(spec_file),
+    ])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"

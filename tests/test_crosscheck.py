@@ -19,10 +19,9 @@ import protoforge
 from protoforge import (
     GlobalEvent,
     Infeasible,
-    Scenario,
     check_correctness,
-    compute_sync_prob,
     enumerate_sequences,
+    explore_sync,
     global_steps,
     initial_config,
     parse_spec,
@@ -57,7 +56,6 @@ def sum_over_distinct_rhos(csas, delta, sigma, limit=500_000):
     sequence.  Exponential, so only usable for tiny retransmission bounds; its
     value must match the merged exploration exactly.
     """
-    scenario = Scenario.for_sequence(sigma)
     finals = {c.owner: c.finals for c in csas}
     stack = [initial_config(csas, sigma[0].src)]
     seen = {}
@@ -66,7 +64,7 @@ def sum_over_distinct_rhos(csas, delta, sigma, limit=500_000):
         steps += 1
         assert steps < limit, "blowup: shrink the bounds"
         cfg = stack.pop()
-        succs = global_steps(csas, delta, cfg, scenario)
+        succs = global_steps(csas, delta, cfg, sigma)
         if succs:
             stack.extend(succs)
             continue
@@ -93,7 +91,7 @@ def test_distinct_deduction_sum_matches_exploration(example_spec):
         for pseq in enumerate_sequences(example_spec.protocol):
             for delta in (0.2, 0.5):
                 brute = sum_over_distinct_rhos(csas, delta, pseq.events)
-                merged = compute_sync_prob(csas, delta, pseq.events)
+                merged = explore_sync(csas, delta, pseq.events).probability
                 assert brute == pytest.approx(merged, abs=1e-12)
 
 
@@ -104,7 +102,7 @@ def test_distinct_deduction_sum_three_event_chain(chain3_spec):
         bounds = dict(zip(events, nvec))
         csas = [synthesize_for_car(chain3_spec.protocol, c, bounds) for c in ("A", "B")]
         brute = sum_over_distinct_rhos(csas, 0.3, pseq.events)
-        merged = compute_sync_prob(csas, 0.3, pseq.events)
+        merged = explore_sync(csas, 0.3, pseq.events).probability
         assert brute == pytest.approx(merged, abs=1e-12)
 
 
@@ -223,7 +221,7 @@ def test_mixed_depth_dialogue_end_to_end():
         bounds = dict(zip(events, nvec))
         csas = [synthesize_for_car(full.protocol, c, bounds) for c in ("A", "B")]
         for pseq in enumerate_sequences(full.protocol):
-            exact = compute_sync_prob(csas, 0.2, pseq.events)
+            exact = explore_sync(csas, 0.2, pseq.events).probability
             formula = sync_prob([bounds[e] for e in pseq.events], 0.2)
             assert abs(exact - formula) < 1e-9
 

@@ -9,19 +9,17 @@ from protoforge import (
     Csa,
     DivergenceDetected,
     EnvEvent,
+    GlobalConfig,
     LocalConfig,
     LocalEvent,
     Message,
-    Scenario,
     SysCond,
     TimeoutUpd,
     check_correctness,
-    compute_sync_prob,
     enumerate_sequences,
     explore_sync,
     global_steps,
     initial_config,
-    local_steps,
     parse_spec,
     project,
     run_monte_carlo,
@@ -57,38 +55,49 @@ def snd_nack(example_spec):
 # Local rules
 
 
-def test_local_env_at_start():
-    sender = reference_sender()
-    steps = local_steps(sender, LocalConfig.initial(sender))
-    assert [(rule, cfg.state) for rule, _, cfg in steps] == [("env", "s2")]
-    (rule, items, _), = steps
-    assert items == (EnvItem("A", "snd", "B", "d"),)
+def test_local_env_at_start(reference_csas, snd_ack):
+    (step,) = global_steps(reference_csas, 0.35, initial_config(reference_csas, "A"), snd_ack)
+    assert step.locals["A"].state == "s2"
+    assert step.rho == (EnvItem("A", "snd", "B", "d"),)
 
 
-def test_local_broadcast_vs_fail_guard():
-    sender = reference_sender()
-    low = local_steps(sender, LocalConfig("s2", (("nu1", 0),)))
-    assert {(rule, cfg.state) for rule, _, cfg in low} == {("broadcast", "s3")}
-    high = local_steps(sender, LocalConfig("s2", (("nu1", 4),)))
-    assert {(rule, cfg.state) for rule, _, cfg in high} == {("sys-cond", "s4")}
+def sender_at(reference_csas, state, nu1):
+    # The sender in `state` with counter nu1 after the snd call, holding the
+    # priority; the receiver has not moved.
+    receiver = reference_csas[1]
+    return GlobalConfig(
+        rho=(EnvItem("A", "snd", "B", "d"),),
+        locals={"A": LocalConfig(state, (("nu1", nu1),)), "B": LocalConfig.initial(receiver)},
+        priority="A",
+        prob=1.0,
+    )
+
+
+def test_local_broadcast_vs_fail_guard(reference_csas, snd_ack):
+    (low,) = global_steps(reference_csas, 0.35, sender_at(reference_csas, "s2", 0), snd_ack)
+    assert low.locals["A"].state == "s3"
+    assert low.rho[-1] == BroadcastItem(Message("a", "A", "B", "d"))
+    (high,) = global_steps(reference_csas, 0.35, sender_at(reference_csas, "s2", 4), snd_ack)
+    assert high.locals["A"].state == "s4"
+    assert high.rho[-1] == SysItem("A", "snd", "B", None, "fail")
 
 
 def test_local_reception_needs_input():
     receiver = reference_receiver()
-    idle = local_steps(receiver, LocalConfig.initial(receiver))
-    assert idle == []
-    got = local_steps(receiver, LocalConfig.initial(receiver),
-                      incoming=Message("a", "A", "B", "d"))
-    assert [(rule, cfg.state) for rule, _, cfg in got] == [("recv-sys", "s2")]
-    (rule, items, _), = got
-    assert items == (SysItem("B", "snd", "A", "d"),)
+    idle = initial_config([receiver], "B")
+    assert global_steps([receiver], 0.35, idle, ()) == []
+    msg = Message("a", "A", "B", "d")
+    pending = GlobalConfig((BroadcastItem(msg),), idle.locals, "B", 1.0)
+    got = [g for g in global_steps([receiver], 0.35, pending, ()) if g.prob == 0.65]
+    assert [g.locals["B"].state for g in got] == ["s2"]
+    assert got[0].rho == (RecvItem(msg), SysItem("B", "snd", "A", "d"))
 
 
-def test_local_timeout_update_increments_counter():
-    sender = reference_sender()
-    steps = local_steps(sender, LocalConfig("s3", (("nu1", 2),)))
-    upd = [cfg for rule, _, cfg in steps if rule == "timeout-upd"]
-    assert upd and upd[0].value("nu1") == 3
+def test_local_timeout_update_increments_counter(reference_csas, snd_ack):
+    (step,) = global_steps(reference_csas, 0.35, sender_at(reference_csas, "s3", 2), snd_ack)
+    assert step.rho[-1] == TimeoutItem("A", "nu1")
+    assert step.locals["A"].state == "s2"
+    assert step.locals["A"].value("nu1") == 3
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +134,11 @@ def test_project_ignores_special_events():
 
 
 def test_global_trans_drop_split(example_spec, reference_csas, snd_ack):
-    scenario = Scenario.for_sequence(snd_ack)
     cfg = initial_config(reference_csas, "A")
-    (after_env,) = global_steps(reference_csas, 0.35, cfg, scenario)
-    (after_bc,) = global_steps(reference_csas, 0.35, after_env, scenario)
+    (after_env,) = global_steps(reference_csas, 0.35, cfg, snd_ack)
+    (after_bc,) = global_steps(reference_csas, 0.35, after_env, snd_ack)
     assert isinstance(after_bc.rho[-1], BroadcastItem)
-    outs = global_steps(reference_csas, 0.35, after_bc, scenario)
+    outs = global_steps(reference_csas, 0.35, after_bc, snd_ack)
     assert len(outs) == 2
     delivered = [g for g in outs if isinstance(g.rho[-1], SysItem)]
     dropped = [g for g in outs if g.rho == after_env.rho]
@@ -142,25 +150,23 @@ def test_global_trans_drop_split(example_spec, reference_csas, snd_ack):
 
 
 def test_global_handoff_after_drop(example_spec, reference_csas, snd_ack):
-    scenario = Scenario.for_sequence(snd_ack)
     cfg = initial_config(reference_csas, "A")
-    (cfg,) = global_steps(reference_csas, 0.35, cfg, scenario)
-    (cfg,) = global_steps(reference_csas, 0.35, cfg, scenario)
-    outs = global_steps(reference_csas, 0.35, cfg, scenario)
+    (cfg,) = global_steps(reference_csas, 0.35, cfg, snd_ack)
+    (cfg,) = global_steps(reference_csas, 0.35, cfg, snd_ack)
+    outs = global_steps(reference_csas, 0.35, cfg, snd_ack)
     dropped = next(g for g in outs if g.prob == pytest.approx(0.35))
     # The receiver holds priority but is stuck, so the sender times out.
-    (timeout,) = global_steps(reference_csas, 0.35, dropped, scenario)
+    (timeout,) = global_steps(reference_csas, 0.35, dropped, snd_ack)
     assert isinstance(timeout.rho[-1], TimeoutItem)
     assert timeout.priority == "A"
     assert timeout.locals["A"].value("nu1") == 1
 
 
 def test_global_drop_pruned_at_zero(example_spec, reference_csas, snd_ack):
-    scenario = Scenario.for_sequence(snd_ack)
     cfg = initial_config(reference_csas, "A")
-    (cfg,) = global_steps(reference_csas, 0.0, cfg, scenario)
-    (cfg,) = global_steps(reference_csas, 0.0, cfg, scenario)
-    outs = global_steps(reference_csas, 0.0, cfg, scenario)
+    (cfg,) = global_steps(reference_csas, 0.0, cfg, snd_ack)
+    (cfg,) = global_steps(reference_csas, 0.0, cfg, snd_ack)
+    outs = global_steps(reference_csas, 0.0, cfg, snd_ack)
     assert len(outs) == 1  # only the delivery survives
 
 
@@ -178,8 +184,7 @@ def test_immediate_moves_preempt_timeouts():
             ("s0", TimeoutUpd("nu")): "s2",
         },
     )
-    scenario = Scenario.for_sequence(())
-    outs = global_steps([csa], 0.1, initial_config([csa], "A"), scenario)
+    outs = global_steps([csa], 0.1, initial_config([csa], "A"), ())
     assert [g.locals["A"].state for g in outs] == ["s1"]
 
 
@@ -197,8 +202,7 @@ def test_handoff_only_when_priority_holder_stuck():
     )
     # mover uses an undeclared counter in its condition; give it one
     mover = Csa("B", ("s0", "s1"), ("nu",), "s0", frozenset({"s1"}), mover.transitions)
-    outs = global_steps([blocked, mover], 0.1, initial_config([blocked, mover], "A"),
-                        Scenario.for_sequence(()))
+    outs = global_steps([blocked, mover], 0.1, initial_config([blocked, mover], "A"), ())
     assert [g.priority for g in outs] == ["B"]
 
 
@@ -207,24 +211,24 @@ def test_handoff_only_when_priority_holder_stuck():
 
 
 def test_sync_prob_matches_pinned_value(reference_csas, snd_ack):
-    r = compute_sync_prob(reference_csas, 0.35, snd_ack)
+    r = explore_sync(reference_csas, 0.35, snd_ack).probability
     assert abs(r - 0.781781) < 1e-6
     assert r == pytest.approx(R_SND_ACK, abs=1e-12)
 
 
 def test_sync_prob_certain_without_drops(reference_csas, snd_ack, snd_nack):
-    assert compute_sync_prob(reference_csas, 0.0, snd_ack) == pytest.approx(1.0, abs=1e-12)
-    assert compute_sync_prob(reference_csas, 0.0, snd_nack) == pytest.approx(1.0, abs=1e-12)
+    assert explore_sync(reference_csas, 0.0, snd_ack).probability == pytest.approx(1.0, abs=1e-12)
+    assert explore_sync(reference_csas, 0.0, snd_nack).probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sync_prob_zero_when_everything_drops(reference_csas, snd_ack):
-    assert compute_sync_prob(reference_csas, 1.0, snd_ack) == 0.0
+    assert explore_sync(reference_csas, 1.0, snd_ack).probability == 0.0
 
 
 def test_probability_conservation(reference_csas, snd_ack):
-    result = explore_sync(reference_csas, 0.35, snd_ack, check_conservation=True)
+    result = explore_sync(reference_csas, 0.35, snd_ack)
     assert not result.scheduler_branching
-    assert result.max_conservation_error < 1e-12
+    assert result.conservation_error < 1e-12
 
 
 def test_initial_priority_is_irrelevant(reference_csas, snd_ack):
@@ -245,7 +249,7 @@ def test_formula_agreement_on_example(example_spec):
         csas = [synthesize_for_car(example_spec.protocol, c, bounds) for c in ("A", "B")]
         for d in (0.1, 0.25, 0.4):
             for pseq in seqs:
-                exact = compute_sync_prob(csas, d, pseq.events)
+                exact = explore_sync(csas, d, pseq.events).probability
                 formula = sync_prob([bounds[e] for e in pseq.events], d)
                 assert abs(exact - formula) < 1e-9
 
@@ -257,7 +261,7 @@ def test_formula_agreement_three_event_chain(chain3_spec):
         bounds = dict(zip(events, nvec))
         csas = [synthesize_for_car(chain3_spec.protocol, c, bounds) for c in ("A", "B")]
         for d in (0.1, 0.25, 0.4):
-            exact = compute_sync_prob(csas, d, pseq.events)
+            exact = explore_sync(csas, d, pseq.events).probability
             assert abs(exact - sync_prob(list(nvec), d)) < 1e-9
 
 
@@ -278,16 +282,16 @@ def test_broadcast_to_deaf_receiver_is_discarded_without_cost():
         },
     )
     deaf = Csa("R", ("r0",), (), "r0", frozenset({"r0"}), {})
-    scenario = Scenario.for_sequence((ev,))
+    sigma = (ev,)
     cfg = initial_config([sender, deaf], "S")
-    (cfg,) = global_steps([sender, deaf], 0.4, cfg, scenario)
-    (cfg,) = global_steps([sender, deaf], 0.4, cfg, scenario)
+    (cfg,) = global_steps([sender, deaf], 0.4, cfg, sigma)
+    (cfg,) = global_steps([sender, deaf], 0.4, cfg, sigma)
     assert isinstance(cfg.rho[-1], BroadcastItem)
-    (after,) = global_steps([sender, deaf], 0.4, cfg, scenario)
+    (after,) = global_steps([sender, deaf], 0.4, cfg, sigma)
     assert after.prob == cfg.prob  # no probability cost
     assert after.rho == cfg.rho[:-1]  # the broadcast is discarded
     assert after.priority == "R"
-    assert global_steps([sender, deaf], 0.4, after, scenario) == []  # stuck
+    assert global_steps([sender, deaf], 0.4, after, sigma) == []  # stuck
 
 
 def test_uninvolved_car_does_not_block_success(snd_ack):
@@ -300,18 +304,18 @@ def test_uninvolved_car_does_not_block_success(snd_ack):
     bounds = {e: {"snd": 3, "ack": 1, "nack": 2}[e.name] for e in events_of(full.protocol)}
     csas = [synthesize_for_car(full.protocol, c, bounds) for c in ("A", "B", "C")]
     assert len(csas[2].states) == 1
-    assert compute_sync_prob(csas, 0.35, snd_ack) == pytest.approx(R_SND_ACK, abs=1e-12)
+    assert explore_sync(csas, 0.35, snd_ack).probability == pytest.approx(R_SND_ACK, abs=1e-12)
 
 
 def test_divergence_budget(reference_csas, snd_ack):
     with pytest.raises(DivergenceDetected):
-        compute_sync_prob(reference_csas, 0.35, snd_ack, budget=3)
+        explore_sync(reference_csas, 0.35, snd_ack, budget=3)
 
 
 def test_budget_env_override(monkeypatch, reference_csas, snd_ack):
     monkeypatch.setenv("PROTOFORGE_BUDGET", "2")
     with pytest.raises(DivergenceDetected):
-        compute_sync_prob(reference_csas, 0.35, snd_ack)
+        explore_sync(reference_csas, 0.35, snd_ack)
 
 
 # ---------------------------------------------------------------------------
@@ -343,32 +347,34 @@ def test_correctness_trivial_lossless(example_spec):
 
 
 def test_monte_carlo_lossless(reference_csas, snd_ack):
-    result = run_monte_carlo(reference_csas, 0.0, Scenario.for_sequence(snd_ack),
-                             runs=100, seed=3)
+    result = run_monte_carlo(reference_csas, 0.0, snd_ack, runs=100, seed=3)
     assert result.successes == 100 and result.failures == 0
+
+
+def test_monte_carlo_needs_a_run(reference_csas, snd_ack):
+    with pytest.raises(ValueError, match="at least 1"):
+        run_monte_carlo(reference_csas, 0.35, snd_ack, runs=0, seed=3)
 
 
 def test_monte_carlo_three_sigma(reference_csas, snd_ack):
     runs = 20000
-    result = run_monte_carlo(reference_csas, 0.35, Scenario.for_sequence(snd_ack),
-                             runs=runs, seed=11)
+    result = run_monte_carlo(reference_csas, 0.35, snd_ack, runs=runs, seed=11)
     band = 3 * math.sqrt(R_SND_ACK * (1 - R_SND_ACK) / runs)
     assert abs(result.empirical_rate - R_SND_ACK) < band
 
 
 def test_monte_carlo_seed_determinism(reference_csas, snd_ack):
-    scenario = Scenario.for_sequence(snd_ack)
-    one = run_monte_carlo(reference_csas, 0.35, scenario, runs=60, seed=9, collect_traces=True)
-    two = run_monte_carlo(reference_csas, 0.35, scenario, runs=60, seed=9, collect_traces=True)
+    one = run_monte_carlo(reference_csas, 0.35, snd_ack, runs=60, seed=9, collect_traces=True)
+    two = run_monte_carlo(reference_csas, 0.35, snd_ack, runs=60, seed=9, collect_traces=True)
     assert one.traces == two.traces
     assert one.successes == two.successes
-    other = run_monte_carlo(reference_csas, 0.35, scenario, runs=60, seed=10, collect_traces=True)
+    other = run_monte_carlo(reference_csas, 0.35, snd_ack, runs=60, seed=10, collect_traces=True)
     assert other.traces != one.traces
 
 
 def test_monte_carlo_trace_schema(reference_csas, snd_ack):
-    result = run_monte_carlo(reference_csas, 0.35, Scenario.for_sequence(snd_ack),
-                             runs=5, seed=0, collect_traces=True)
+    result = run_monte_carlo(reference_csas, 0.35, snd_ack, runs=5, seed=0,
+                             collect_traces=True)
     for k, trace in enumerate(result.traces):
         assert trace["run"] == k
         assert trace["outcome"] in ("success", "failure")
@@ -381,11 +387,10 @@ def test_no_global_event_fused_across_interleaved_sys(example_spec, reference_cs
     # with its environment partner, no other plain system event sits between
     # them in the deduced sequence.
     rng = random.Random(6060)
-    scenario = Scenario.for_sequence(snd_ack)
     for _ in range(60):
         cfg = initial_config(reference_csas, "A")
         while True:
-            outs = global_steps(reference_csas, 0.35, cfg, scenario)
+            outs = global_steps(reference_csas, 0.35, cfg, snd_ack)
             if not outs:
                 break
             if len(outs) == 2:

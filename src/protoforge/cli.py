@@ -11,8 +11,9 @@
 --cap takes a nonnegative integer, --runs a positive one.
 
 Exit codes: 0 success, 1 requirement not met (unrealizable or verification
-failure), 2 malformed input or I/O error, 3 exploration budget exhausted.
-PROTOFORGE_BUDGET overrides the deduction budget.
+failure), 2 malformed input or I/O error, 3 exploration budget exhausted or
+a cycle in the deductions of hand-written CSAs.  PROTOFORGE_BUDGET overrides
+the budget of distinct configurations.
 """
 
 from __future__ import annotations
@@ -119,15 +120,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    out_dir = Path(args.out) if args.out else None
+    if args.traces and out_dir is None:
+        print("--traces requires --out", file=sys.stderr)
+        return EXIT_INPUT
     full = _load_spec(args.spec, args.delta)
     csas = [import_json(Path(p).read_text()) for p in args.csas]
     print(f"delta: {full.delta!r}")
     print(f"seed: {args.seed}")
     print(f"runs: {args.runs}")
-    out_dir = Path(args.out) if args.out else None
-    if args.traces and out_dir is None:
-        print("--traces requires --out", file=sys.stderr)
-        return EXIT_INPUT
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     for i, pseq in enumerate(enumerate_sequences(full.protocol)):

@@ -39,7 +39,7 @@ class SequenceTooShort(ProtoforgeError):
 
 
 class DivergenceDetected(ProtoforgeError):
-    """Exhaustive deduction exceeded its configuration budget."""
+    """Deduction exceeded its configuration budget or ran into a cycle."""
 
 
 class InvalidParams(ProtoforgeError):

@@ -18,15 +18,18 @@ are made; env transitions outside sigma are never taken (for synthesized CSAs
 they can only start zero-contribution branches, and no synthesized state mixes
 env transitions with timeouts or receptions, so rule selection is unaffected).
 
-All these rules are implemented once, in `_Engine`; exact exploration, Monte
-Carlo sampling, traced runs and `global_steps` only drive it.
+All these rules are implemented once, in `_Engine`.  `_Graph` builds from it
+one lazily compiled deduction graph per (CSAs, sigma), with dead counters
+zeroed and runs of single successors collapsed, and three consumers use it:
+`explore_sync` evaluates it backward, `run_monte_carlo` walks it, and traced
+runs re-expand only the edges walked.  `global_steps` steps the engine alone.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .csa import (
     BroadcastCond,
@@ -44,12 +47,7 @@ from .csa import (
 from .errors import DivergenceDetected
 from .speclang import GlobalEvent, PSequence, SpecNode, enumerate_sequences, satisfies
 
-DEFAULT_BUDGET = 10_000_000
-
-
-def exploration_budget(default: int = DEFAULT_BUDGET) -> int:
-    env = os.environ.get("PROTOFORGE_BUDGET")
-    return int(env) if env else default
+DEFAULT_BUDGET = 10_000_000  # distinct configs; PROTOFORGE_BUDGET overrides it
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +123,8 @@ def project(rho: Sequence[RhoItem]) -> list:
             out.append(item)
         elif isinstance(item, SysItem) and item.special is None and out:
             tail = out[-1]
-            if (
-                isinstance(tail, EnvItem)
-                and tail.name == item.name
-                and tail.car == item.peer
-                and tail.peer == item.car
-                and tail.data == item.data
-            ):
+            if isinstance(tail, EnvItem) and (tail.name, tail.car, tail.peer, tail.data) == \
+                    (item.name, item.peer, item.car, item.data):
                 out[-1] = GlobalEvent(item.name, src=tail.car, dst=tail.peer, data=item.data)
     return out
 
@@ -170,59 +163,88 @@ class GlobalConfig:
 # reception ("r", msg), or a broadcast ("b", msg, restored tail); done/pending
 # track how much of the target sequence has been synchronized; parts is a
 # bitmask of cars that have taken part.
+#
+# Every rule but the environment-triggered one compiles to a move
+#   (sys event or None, counter to increment or None, new tail, dst, items)
+# where a new tail ("b", msg) is completed with the tail it restores, and
+# items are the trace items the move appends to rho.
 
 _TAIL_OTHER = ("o",)
 _DEAD = "dead"
 
 
 class _Machine:
-    __slots__ = ("owner", "state_names", "state_idx", "vars", "var_idx", "init",
-                 "finals", "env", "econd", "timeouts", "recv")
+    __slots__ = ("owner", "state_names", "state_idx", "vars", "init", "finals", "env",
+                 "econd", "timeouts", "recv", "live")
 
     def __init__(self, csa: Csa):
-        self.owner = csa.owner
+        owner = self.owner = csa.owner
         self.state_names = list(csa.states)
         self.state_idx = {s: i for i, s in enumerate(csa.states)}
         self.vars = list(csa.vars)
-        self.var_idx = {v: i for i, v in enumerate(csa.vars)}
+        var_idx = {v: i for i, v in enumerate(csa.vars)}
         self.init = self.state_idx[csa.init]
         self.finals = frozenset(self.state_idx[s] for s in csa.finals)
         n = len(csa.states)
-        self.env = [[] for _ in range(n)]       # (name, peer, data, dst)
-        self.econd = [[] for _ in range(n)]     # ("sys", ev, vi, op, bound, dst) | ("bc", msg, vi, op, bound, dst)
-        self.timeouts = [[] for _ in range(n)]  # ("tsys", ev, dst) | ("tupd", vi, dst)
-        self.recv = [{} for _ in range(n)]      # msg -> [("rsys", ev, dst) | ("rupd", vi, dst)]
+        self.env = [[] for _ in range(n)]       # ((name, owner, peer, data), dst, items)
+        self.econd = [[] for _ in range(n)]     # (guarded counter, op, bound, move)
+        self.timeouts = [[] for _ in range(n)]  # move
+        self.recv = [{} for _ in range(n)]      # msg -> [move]
+        succ = [set() for _ in range(n)]
+
+        def sys_item(e):
+            return SysItem(owner, e.name, e.peer, e.data, e.special)
+
         for (src, label), dst in sorted(csa.transitions.items(),
                                         key=lambda kv: (kv[0][0], str(kv[0][1]))):
             s, d = self.state_idx[src], self.state_idx[dst]
+            succ[s].add(d)
             if isinstance(label, EnvEvent):
                 e = label.event
-                self.env[s].append((e.name, e.peer, e.data, d))
+                self.env[s].append(((e.name, owner, e.peer, e.data), d,
+                                    (EnvItem(owner, e.name, e.peer, e.data),)))
             elif isinstance(label, SysCond):
                 c = label.cond
-                self.econd[s].append(("sys", label.event, self.var_idx[c.var], c.op, c.bound, d))
+                self.econd[s].append((var_idx[c.var], c.op, c.bound,
+                                      (label.event, None, _TAIL_OTHER, d, (sys_item(label.event),))))
             elif isinstance(label, BroadcastCond):
                 c = label.cond
-                self.econd[s].append(("bc", label.msg, self.var_idx[c.var], c.op, c.bound, d))
+                self.econd[s].append((var_idx[c.var], c.op, c.bound,
+                                      (None, None, ("b", label.msg), d, (BroadcastItem(label.msg),))))
             elif isinstance(label, TimeoutSys):
-                self.timeouts[s].append(("tsys", label.event, d))
+                e = label.event
+                self.timeouts[s].append((e, None, _TAIL_OTHER, d,
+                                         (TimeoutItem(owner, e.name), sys_item(e))))
             elif isinstance(label, TimeoutUpd):
-                self.timeouts[s].append(("tupd", self.var_idx[label.var], d))
+                self.timeouts[s].append((None, var_idx[label.var], _TAIL_OTHER, d,
+                                         (TimeoutItem(owner, label.var),)))
             elif isinstance(label, RecvSys):
-                self.recv[s].setdefault(label.msg, []).append(("rsys", label.event, d))
+                self.recv[s].setdefault(label.msg, []).append(
+                    (label.event, None, _TAIL_OTHER, d, (sys_item(label.event),)))
             elif isinstance(label, RecvUpd):
-                self.recv[s].setdefault(label.msg, []).append(("rupd", self.var_idx[label.var], d))
+                self.recv[s].setdefault(label.msg, []).append(
+                    (None, var_idx[label.var], ("r", label.msg), d, ()))
+        # A counter is live at a state if a guard there reads it or it is live
+        # at a successor; increments alone do not make it live.  live[s] holds
+        # one 1/0 factor per counter, or None when every counter is live.
+        live = [{entry[0] for entry in self.econd[s]} for s in range(n)]
+        while True:
+            grown = [live[s].union(*(live[d] for d in succ[s])) for s in range(n)]
+            if grown == live:
+                break
+            live = grown
+        self.live = [None if len(live[s]) == len(self.vars) else
+                     tuple(int(vi in live[s]) for vi in range(len(self.vars))) for s in range(n)]
 
 
-@dataclass(frozen=True)
-class _Succ:
+class _Succ(NamedTuple):
     kind: str  # "deliver", "drop", "nacc", "free"
     cfg: object  # engine config tuple or _DEAD
     items: tuple
 
 
 class _Engine:
-    def __init__(self, csas: Sequence[Csa], sigma: Sequence[GlobalEvent]):
+    def __init__(self, csas: Sequence[Csa], sigma: Sequence[GlobalEvent], reduce=False):
         ordered = sorted(csas, key=lambda c: c.owner)
         if len({c.owner for c in ordered}) != len(ordered):
             raise ValueError("two CSAs share an owner")
@@ -230,6 +252,9 @@ class _Engine:
         self.cars = [m.owner for m in self.machines]
         self.car_idx = {c: i for i, c in enumerate(self.cars)}
         self.sigma = tuple(sigma)
+        # what an environment-triggered event must match after k fired ones
+        self.wanted = [(e.name, e.src, e.dst, e.data) for e in self.sigma] + [None]
+        self.reduce = reduce  # zero the counters dead at a car's new state
         for ev in self.sigma:
             if ev.src not in self.car_idx or ev.dst not in self.car_idx:
                 raise ValueError(f"event {ev} references a car with no CSA")
@@ -242,110 +267,64 @@ class _Engine:
 
     # -- local step enumeration on engine configs ---------------------------
 
-    def _env_enabled(self, x, name, peer, data, done, pending):
-        fired = done + pending
-        if fired >= len(self.sigma):
-            return False
-        want = self.sigma[fired]
-        return want.name == name and want.src == self.cars[x] and want.dst == peer \
-            and want.data == data
-
-    def _e_steps(self, cfg, x, want_items):
+    def _e_steps(self, cfg, x):
+        # Immediate steps of x: environment-triggered events the target
+        # sequence asks for next, then enabled conditional system events and
+        # broadcasts.
         locals_, pr, tail, done, pending, parts = cfg
         state, vals = locals_[x]
         m = self.machines[x]
         out = []
-        for name, peer, data, dst in m.env[state]:
-            if not self._env_enabled(x, name, peer, data, done, pending):
-                continue
-            if pending:
-                out.append(_Succ("free", _DEAD,
-                                 (EnvItem(m.owner, name, peer, data),) if want_items else ()))
-                continue
-            nl = self._set_local(locals_, x, dst, vals)
-            items = (EnvItem(m.owner, name, peer, data),) if want_items else ()
-            out.append(_Succ("free", (nl, x, _TAIL_OTHER, done, 1, parts | (1 << x)), items))
-        for entry in m.econd[state]:
-            kind, payload, vi, op, bound, dst = entry
-            v = vals[vi]
-            if not (v <= bound if op == "<=" else v > bound):
-                continue
-            if kind == "sys":
-                e = payload
-                nd, np = self._sys_proj(e, m.owner, done, pending)
+        want = self.wanted[done + pending]
+        for key, dst, items in m.env[state]:
+            if key == want:  # while one is pending, a second call kills the deduction
                 nl = self._set_local(locals_, x, dst, vals)
-                items = (SysItem(m.owner, e.name, e.peer, e.data, e.special),) if want_items else ()
-                out.append(_Succ("free", (nl, x, _TAIL_OTHER, nd, np, parts | (1 << x)), items))
-            else:
-                msg = payload
-                nl = self._set_local(locals_, x, dst, vals)
-                items = (BroadcastItem(msg),) if want_items else ()
-                out.append(_Succ("free", (nl, x, ("b", msg, tail), done, pending,
-                                          parts | (1 << x)), items))
+                nxt = _DEAD if pending else (nl, x, _TAIL_OTHER, done, 1, parts | (1 << x))
+                out.append(_Succ("free", nxt, items))
+        for vi, op, bound, move in m.econd[state]:
+            if vals[vi] <= bound if op == "<=" else vals[vi] > bound:
+                out.append(self._move(cfg, x, move))
         return out
 
-    def _t_steps(self, cfg, x, want_items):
-        locals_, pr, tail, done, pending, parts = cfg
-        state, vals = locals_[x]
-        m = self.machines[x]
-        out = []
-        for entry in m.timeouts[state]:
-            if entry[0] == "tsys":
-                _, e, dst = entry
-                nd, np = self._sys_proj(e, m.owner, done, pending)
-                nl = self._set_local(locals_, x, dst, vals)
-                items = ((TimeoutItem(m.owner, e.name),
-                          SysItem(m.owner, e.name, e.peer, e.data, e.special))
-                         if want_items else ())
-                out.append(_Succ("free", (nl, x, _TAIL_OTHER, nd, np, parts | (1 << x)), items))
-            else:
-                _, vi, dst = entry
-                nv = vals[:vi] + (vals[vi] + 1,) + vals[vi + 1:]
-                nl = self._set_local(locals_, x, dst, nv)
-                items = (TimeoutItem(m.owner, m.vars[vi]),) if want_items else ()
-                out.append(_Succ("free", (nl, x, _TAIL_OTHER, done, pending,
-                                          parts | (1 << x)), items))
-        return out
+    def _t_steps(self, cfg, x):
+        state = cfg[0][x][0]
+        return [self._move(cfg, x, move) for move in self.machines[x].timeouts[state]]
 
-    def _r_steps(self, cfg, x, msg, want_items):
+    def _r_steps(self, cfg, x, msg):
         # Reception steps of x against message msg at the tail.
+        state = cfg[0][x][0]
+        return [self._move(cfg, x, move) for move in self.machines[x].recv[state].get(msg, ())]
+
+    def _move(self, cfg, x, move):
         locals_, pr, tail, done, pending, parts = cfg
-        state, vals = locals_[x]
-        m = self.machines[x]
-        out = []
-        for entry in m.recv[state].get(msg, ()):
-            if entry[0] == "rsys":
-                _, e, dst = entry
-                nd, np = self._sys_proj(e, m.owner, done, pending)
-                nl = self._set_local(locals_, x, dst, vals)
-                items = (SysItem(m.owner, e.name, e.peer, e.data, e.special),) if want_items else ()
-                out.append(_Succ("free", (nl, x, _TAIL_OTHER, nd, np, parts | (1 << x)), items))
-            else:
-                _, vi, dst = entry
-                nv = vals[:vi] + (vals[vi] + 1,) + vals[vi + 1:]
-                nl = self._set_local(locals_, x, dst, nv)
-                out.append(_Succ("free", (nl, x, ("r", msg), done, pending,
-                                          parts | (1 << x)), ()))
-        return out
+        event, inc, new_tail, dst, items = move
+        vals = locals_[x][1]
+        if event is not None:
+            done, pending = self._sys_proj(event, self.cars[x], done, pending)
+        if inc is not None:
+            vals = vals[:inc] + (vals[inc] + 1,) + vals[inc + 1:]
+        if new_tail[0] == "b":
+            new_tail = new_tail + (tail,)
+        nl = self._set_local(locals_, x, dst, vals)
+        return _Succ("free", (nl, x, new_tail, done, pending, parts | (1 << x)), items)
 
     def _sys_proj(self, e: LocalEvent, car, done, pending):
         # A plain system event matching the pending environment event fuses
         # into the next global event of the target sequence.
-        if pending and e.special is None:
-            want = self.sigma[done]
-            if (want.name == e.name and want.dst == car and want.src == e.peer
-                    and want.data == e.data):
-                return done + 1, 0
+        if pending and e.special is None and self.wanted[done] == (e.name, e.peer, car, e.data):
+            return done + 1, 0
         return done, pending
 
-    @staticmethod
-    def _set_local(locals_, x, state, vals):
+    def _set_local(self, locals_, x, state, vals):
+        keep = self.machines[x].live[state] if self.reduce else None
+        if keep is not None:
+            vals = tuple(v * k for v, k in zip(vals, keep))
         return locals_[:x] + ((state, vals),) + locals_[x + 1:]
 
     # -- global step enumeration --------------------------------------------
 
-    def expand(self, cfg, want_items=False):
-        """Successor list per the global rules.
+    def expand(self, cfg):
+        """Successor list per the global rules, each with its trace items.
 
         Returns ("medium", delivered, dropped) for a pending broadcast with a
         ready receiver, or ("free", successors) otherwise; an empty successor
@@ -355,30 +334,25 @@ class _Engine:
         if tail[0] == "b":
             msg, restore = tail[1], tail[2]
             z = self.car_idx.get(msg.dst)
-            received = []
-            if z is not None:
-                for s in self._r_steps(cfg, z, msg, want_items):
-                    items = ((RecvItem(msg),) + s.items) if want_items else ()
-                    received.append(_Succ("deliver", s.cfg, items))
+            received = [] if z is None else [
+                _Succ("deliver", s.cfg, (RecvItem(msg),) + s.items)
+                for s in self._r_steps(cfg, z, msg)]
             if received:
                 dropped = _Succ("drop", (locals_, z, restore, done, pending, parts), ())
                 return ("medium", received, dropped)
             nacc_pr = z if z is not None else pr
             return ("free", [_Succ("nacc", (locals_, nacc_pr, restore, done, pending, parts), ())])
 
-        succs = self._e_steps(cfg, pr, want_items)
-        if succs:
-            return ("free", succs)
-        succs = self._t_steps(cfg, pr, want_items)
+        succs = self._e_steps(cfg, pr) or self._t_steps(cfg, pr)
         if succs:
             return ("free", succs)
         # Hand-off: any CSA may act, by any rule; the actor takes the priority.
         out = []
         for x in range(len(self.machines)):
-            out.extend(self._e_steps(cfg, x, want_items))
-            out.extend(self._t_steps(cfg, x, want_items))
+            out.extend(self._e_steps(cfg, x))
+            out.extend(self._t_steps(cfg, x))
             if tail[0] == "r":
-                out.extend(self._r_steps(cfg, x, tail[1], want_items))
+                out.extend(self._r_steps(cfg, x, tail[1]))
         return ("free", out)
 
     def is_success(self, cfg) -> bool:
@@ -392,16 +366,110 @@ class _Engine:
 
 
 # ---------------------------------------------------------------------------
+# Deduction graph
+
+_SUCCESS, _FAILURE, _MEDIUM, _FREE = "success", "failure", "medium", "free"
+_OPEN = "open"  # value of a node whose backward pass is under way
+
+
+class _Node:
+    # raw: the engine's successor configs, (delivered, dropped) for a medium
+    # node; succ and drop: those of positive probability as nodes, once
+    # linked; value: (success, failure) mass from the backward pass.
+    __slots__ = ("cfg", "kind", "raw", "succ", "drop", "value")
+
+    def __init__(self, cfg, kind, raw=()):
+        self.cfg, self.kind, self.raw, self.drop = cfg, kind, raw, None
+        terminal = kind == _SUCCESS or kind == _FAILURE
+        self.succ = () if terminal else None
+        self.value = ((1.0, 0.0) if kind == _SUCCESS else (0.0, 1.0)) if terminal else None
+
+
+_DEAD_NODE = _Node(_DEAD, _FAILURE)
+
+
+def _cycle(why: str) -> DivergenceDetected:
+    return DivergenceDetected(f"deduction cycle: a configuration {why}")
+
+
+class _Graph:
+    """The deductions of (CSAs, sigma) of positive probability at drop_prob,
+    built lazily.
+
+    Configs come from an engine that zeroes the counters dead at each car's
+    state, which merges configs no guard tells apart.  A free config with a
+    single successor is no node of its own: it maps to the node its run of
+    single successors ends in.  The budget bounds the distinct configs.
+    """
+
+    def __init__(self, csas, sigma, drop_prob, budget=None, start_priority=None):
+        self.engine = _Engine(csas, sigma, reduce=True)
+        self.drop_prob = drop_prob
+        if budget is None:
+            budget = int(os.environ.get("PROTOFORGE_BUDGET") or DEFAULT_BUDGET)
+        self.budget = budget
+        self.nodes: dict = {}
+        self.branching = False  # some node has more than one delivery or free successor
+        self.root = self.node(self.engine.initial(start_priority))
+
+    def node(self, cfg) -> _Node:
+        engine, trail = self.engine, {}
+        while True:
+            if cfg is _DEAD:
+                found = _DEAD_NODE
+                break
+            found = self.nodes.get(cfg)
+            if found is not None:
+                break
+            if cfg in trail:
+                raise _cycle("repeats with no medium decision in between")
+            trail[cfg] = None
+            if len(self.nodes) + len(trail) > self.budget:
+                raise DivergenceDetected(
+                    f"exploration exceeded {self.budget} configurations; "
+                    "set PROTOFORGE_BUDGET to raise the limit"
+                )
+            if engine.is_success(cfg):
+                found = _Node(cfg, _SUCCESS)
+                break
+            shape = engine.expand(cfg)
+            if shape[0] == "medium":
+                _, received, dropped = shape
+                self.branching |= len(received) > 1
+                found = _Node(cfg, _MEDIUM, (tuple(s.cfg for s in received), dropped.cfg))
+                break
+            succs = shape[1]
+            if len(succs) != 1:
+                self.branching |= len(succs) > 1
+                found = _Node(cfg, _FREE, tuple(s.cfg for s in succs)) if succs else \
+                    _Node(cfg, _FAILURE)
+                break
+            cfg = succs[0].cfg
+        for c in trail:
+            self.nodes[c] = found
+        return found
+
+    def link(self, node):
+        d = self.drop_prob
+        if node.kind == _MEDIUM:
+            delivered, dropped = node.raw
+            node.succ = tuple(self.node(c) for c in delivered) if d < 1.0 else ()
+            node.drop = self.node(dropped) if d > 0.0 else None
+        else:
+            node.succ = tuple(self.node(c) for c in node.raw)
+
+
+# ---------------------------------------------------------------------------
 # Exact exploration
 
 
 @dataclass
 class ExplorationResult:
     probability: float
-    configs_processed: int
+    configs_processed: int  # distinct configs, dead counters zeroed
     scheduler_branching: bool
-    # |success + failure - 1| once the frontier is empty; meaningful only
-    # without scheduler branching, where each deduction carries its own mass.
+    # |success + failure - 1|; meaningful only without scheduler branching,
+    # where each deduction carries its own mass.
     conservation_error: float
 
 
@@ -414,54 +482,41 @@ def explore_sync(
 ) -> ExplorationResult:
     """Sum the probabilities of all deductions that synchronize sigma.
 
-    Walks the global deduction graph breadth-wise, merging probability mass
-    per configuration; a configuration in which every participating CSA rests
-    in a final state and the projection equals sigma absorbs its mass as
-    success.  Zero-probability branches are pruned.
+    A backward pass over the deduction graph: a config in which every
+    participating CSA rests in a final state and the projection equals sigma
+    is worth 1, a stuck one 0, a medium node (1 - drop_prob) times the sum
+    over its deliveries plus drop_prob times its drop, a free node the sum
+    over its successors.  Failure mass is summed alongside; a cycle raises
+    DivergenceDetected.
     """
-    if budget is None:
-        budget = exploration_budget()
-    engine = _Engine(csas, sigma)
-    deliver_p = 1.0 - drop_prob
-    frontier: dict = {engine.initial(start_priority): 1.0}
-    success = 0.0
-    failure = 0.0
-    processed = 0
-    branching = False
-    while frontier:
-        processed += 1
-        if processed > budget:
-            raise DivergenceDetected(
-                f"exploration exceeded {budget} configurations; "
-                "set PROTOFORGE_BUDGET to raise the limit"
-            )
-        cfg, mass = frontier.popitem()
-        if engine.is_success(cfg):
-            success += mass
+    graph = _Graph(csas, sigma, drop_prob, budget, start_priority)
+    stack = [graph.root]
+    while stack:
+        node = stack[-1]
+        if node.value is None:
+            node.value = _OPEN
+            graph.link(node)
+            for child in node.succ if node.drop is None else node.succ + (node.drop,):
+                if child.value is None:
+                    stack.append(child)
+                elif child.value is _OPEN:
+                    raise _cycle("is reachable from itself; exact exploration needs an "
+                                 "acyclic deduction graph")
             continue
-        shape = engine.expand(cfg)
-        if shape[0] == "medium":
-            _, received, dropped = shape
-            if len(received) > 1:
-                branching = True
-            if deliver_p > 0.0:
-                for s in received:
-                    frontier[s.cfg] = frontier.get(s.cfg, 0.0) + mass * deliver_p
-            if drop_prob > 0.0:
-                frontier[dropped.cfg] = frontier.get(dropped.cfg, 0.0) + mass * drop_prob
-        else:
-            succs = shape[1]
-            if not succs:
-                failure += mass
-                continue
-            if len(succs) > 1:
-                branching = True
-            for s in succs:
-                if s.cfg is _DEAD:
-                    failure += mass
-                else:
-                    frontier[s.cfg] = frontier.get(s.cfg, 0.0) + mass
-    return ExplorationResult(success, processed, branching, abs(success + failure - 1.0))
+        if node.value is _OPEN:
+            success = sum(child.value[0] for child in node.succ)
+            failure = sum(child.value[1] for child in node.succ)
+            if node.kind == _MEDIUM:
+                success *= 1.0 - drop_prob
+                failure *= 1.0 - drop_prob
+                if node.drop is not None:
+                    success += drop_prob * node.drop.value[0]
+                    failure += drop_prob * node.drop.value[1]
+            node.value = (success, failure)
+        stack.pop()
+    success, failure = graph.root.value
+    return ExplorationResult(success, len(graph.nodes), graph.branching,
+                             abs(success + failure - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +545,12 @@ def check_correctness(
     csas: Sequence[Csa],
     drop_prob: float,
     spec: SpecNode,
-    budget: Optional[int] = None,
 ) -> CorrectnessReport:
     """Verify that every sequence of the specification is synchronized at
     least as likely as required."""
     checks = []
     for pseq in enumerate_sequences(spec):
-        achieved = explore_sync(csas, drop_prob, pseq.events, budget=budget).probability
+        achieved = explore_sync(csas, drop_prob, pseq.events).probability
         bounded = min(max(achieved, 0.0), 1.0)
         ok = satisfies(PSequence(pseq.events, bounded), spec)
         checks.append(SequenceCheck(pseq.events, pseq.p, achieved, ok))
@@ -523,131 +577,82 @@ def run_monte_carlo(
     runs: int,
     seed: int,
     collect_traces: bool = False,
-    budget: Optional[int] = None,
 ) -> MonteCarloResult:
     """Sample executions of the global semantics with Bernoulli medium outcomes.
 
-    Deterministic for a given seed: run k draws from its own stream seeded by
-    (seed, k).  Ties between enabled non-medium rules are resolved in a fixed
-    order (synthesized CSAs never have any).
+    Each run walks the deduction graph from its root.  Deterministic for a
+    given seed: run k draws from its own stream seeded by (seed, k).  Ties
+    between enabled non-medium rules are resolved in a fixed order
+    (synthesized CSAs never have any).
     """
     import random
 
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
-    if budget is None:
-        budget = exploration_budget()
-    engine = _Engine(csas, sigma)
-
-    # Between medium resolutions the walk is deterministic, so the reachable
-    # graph collapses to a binary DAG over configurations; memoize it.
-    memo: dict = {}
-
-    def advance(cfg):
-        steps = 0
-        trail = []
-        while True:
-            known = memo.get(cfg)
-            if known is not None:
-                break
-            steps += 1
-            if steps > budget:
-                raise DivergenceDetected("simulation exceeded the configuration budget")
-            if engine.is_success(cfg):
-                known = ("end", "success")
-                break
-            shape = engine.expand(cfg)
-            if shape[0] == "medium":
-                _, received, dropped = shape
-                known = ("medium", received[0].cfg, dropped.cfg)
-                break
-            succs = shape[1]
-            if not succs:
-                known = ("end", "failure")
-                break
-            nxt = succs[0].cfg
-            if nxt is _DEAD:
-                known = ("end", "failure")
-                break
-            trail.append(cfg)
-            cfg = nxt
-        for c in trail:
-            memo.setdefault(c, ("goto", cfg))
-        memo[cfg] = known
-        return known
-
-    def resolve(cfg):
-        node = advance(cfg)
-        while node[0] == "goto":
-            node = advance(node[1])
-        return node
-
+    graph = _Graph(csas, sigma, drop_prob)
     successes = 0
     traces = [] if collect_traces else None
     for k in range(runs):
-        rng = random.Random(f"{seed}:{k}")
+        path = [] if collect_traces else None
+        end = _walk(graph, random.Random(f"{seed}:{k}"), path)
+        successes += end.kind == _SUCCESS
         if collect_traces:
-            outcome, rho, finals = _sample_traced(engine, drop_prob, rng, budget)
-            traces.append({
-                "run": k,
-                "outcome": outcome,
-                "rho": [str(item) for item in rho],
-                "final_states": finals,
-            })
-            successes += outcome == "success"
-            continue
-        cfg = engine.initial()
-        while True:
-            node = resolve(cfg)
-            if node[0] == "end":
-                successes += node[1] == "success"
-                break
-            dropped = drop_prob > 0.0 and rng.random() < drop_prob
-            cfg = node[2] if dropped else node[1]
-    failures = runs - successes
-    return MonteCarloResult(runs, successes, failures, successes / runs, traces)
+            traces.append(_trace(graph, k, path, end))
+    return MonteCarloResult(runs, successes, runs - successes, successes / runs, traces)
 
 
-def _sample_traced(engine: _Engine, drop_prob: float, rng, budget: int):
-    cfg = engine.initial()
-    rho: list = []
-    steps = 0
-    while True:
-        steps += 1
-        if steps > budget:
-            raise DivergenceDetected("simulation exceeded the configuration budget")
-        if engine.is_success(cfg):
-            return "success", rho, _final_states(engine, cfg)
-        shape = engine.expand(cfg, want_items=True)
-        if shape[0] == "medium":
-            _, received, dropped = shape
-            if drop_prob > 0.0 and rng.random() < drop_prob:
-                rho.pop()  # the broadcast is lost
-                cfg = dropped.cfg
-            else:
-                succ = received[0]
-                rho.pop()
-                rho.extend(succ.items)
-                cfg = succ.cfg
-            continue
-        succs = shape[1]
-        if not succs:
-            return "failure", rho, _final_states(engine, cfg)
-        succ = succs[0]
-        if succ.cfg is _DEAD:
-            rho.extend(succ.items)
-            return "failure", rho, _final_states(engine, cfg)
-        if succ.kind == "nacc":
-            rho.pop()
+def _walk(graph: _Graph, rng, path: Optional[list] = None) -> _Node:
+    """Walk one run from the root to its end node, appending each decision
+    (node, dropped) to path if given.
+
+    A medium node draws once from rng and takes its first delivery unless
+    the draw drops the message; a free node takes its first successor.  More
+    steps without a random outcome than the graph has configs mean a cycle.
+    """
+    d = graph.drop_prob
+    chance = 0.0 < d < 1.0
+    node, idle = graph.root, 0
+    while node.kind == _MEDIUM or node.kind == _FREE:
+        if node.succ is None:
+            graph.link(node)
+        if node.kind == _MEDIUM:
+            dropped = d > 0.0 and rng.random() < d
+            nxt = node.drop if dropped else node.succ[0]
+            idle = 0 if chance else idle + 1
         else:
-            rho.extend(succ.items)
-        cfg = succ.cfg
-    # unreachable
+            dropped, nxt = False, node.succ[0]
+            idle += 1
+        if idle > len(graph.nodes):
+            raise _cycle("repeats with no random medium outcome in between")
+        if path is not None:
+            path.append((node, dropped))
+        node = nxt
+    return node
 
 
-def _final_states(engine: _Engine, cfg):
-    locals_ = cfg[0]
-    return {m.owner: m.state_names[locals_[x][0]] for x, m in enumerate(engine.machines)}
+def _trace(graph: _Graph, run: int, path: list, end: _Node) -> dict:
+    """The record of a walked run: its deduced sequence, rebuilt by expanding
+    each decision of path and the single successors up to the next node."""
+    engine, rho, cfg = graph.engine, [], graph.engine.initial()
+    decisions = [None] + [dropped for _, dropped in path]
+    for dropped, target in zip(decisions, [node for node, _ in path] + [end]):
+        while dropped is not None or cfg != target.cfg:
+            shape = engine.expand(cfg)
+            s = (shape[2] if dropped else shape[1][0]) if shape[0] == "medium" else shape[1][0]
+            dropped = None
+            if s.kind != "free":
+                rho.pop()  # the broadcast is delivered, dropped or discarded
+            rho.extend(s.items)
+            if s.cfg is _DEAD:
+                break
+            cfg = s.cfg
+    return {
+        "run": run,
+        "outcome": _SUCCESS if end.kind == _SUCCESS else _FAILURE,
+        "rho": [str(item) for item in rho],
+        "final_states": {m.owner: m.state_names[cfg[0][x][0]]
+                         for x, m in enumerate(engine.machines)},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +685,7 @@ def global_steps(
     fired = sum(isinstance(item, EnvItem) for item in gcfg.rho)
     cfg = (locals_, engine.car_idx[gcfg.priority], tail, fired, 0, 0)
 
-    shape = engine.expand(cfg, want_items=True)
+    shape = engine.expand(cfg)
     if shape[0] == "medium":
         _, received, dropped = shape
         succs = [(s, (1.0 - drop_prob)) for s in received] + [(dropped, drop_prob)]
@@ -690,16 +695,10 @@ def global_steps(
     out = []
     for s, factor in succs:
         prob = gcfg.prob * factor
-        if prob == 0.0:
+        if prob == 0.0 or s.cfg is _DEAD:
             continue
-        if s.cfg is _DEAD:
-            continue
-        if s.kind == "deliver":
-            rho = gcfg.rho[:-1] + s.items
-        elif s.kind in ("drop", "nacc"):
-            rho = gcfg.rho[:-1]
-        else:
-            rho = gcfg.rho + s.items
+        # Delivering, dropping or discarding consumes the trailing broadcast.
+        rho = (gcfg.rho if s.kind == "free" else gcfg.rho[:-1]) + s.items
         nl, px, *_ = s.cfg
         out.append(GlobalConfig(
             rho=rho,

@@ -9,7 +9,10 @@ The concrete syntax (.psl) is::
     seq     := "(" phi ")" | event ( ("." phi) | (":" FLOAT) )
     event   := IDENT IDENT "->" IDENT ( "(" IDENT ")" )?
 
-Whitespace is insignificant and "#" starts a line comment.  Example::
+Whitespace is insignificant and "#" starts a line comment.  Nesting is
+limited to MAX_NESTING levels: the whole phi is one, and each "(", "." and "|"
+opens one more.  That keeps the parser and the recursive tree walks within
+Python's default recursion limit.  Example::
 
     delta 0.35; cars A B;
     snd A->B(d) . (ack B->A : 0.7 | nack B->A : 0.8)
@@ -23,6 +26,8 @@ from typing import Iterator, Optional, Union
 from .errors import ProbabilityOutOfRange, SpecSyntaxError
 
 CarId = str
+
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -184,6 +189,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.depth = 0  # phi calls under way
         self.cars: tuple[str, ...] = ()
 
     def peek(self) -> Optional[_Token]:
@@ -237,12 +243,16 @@ class _Parser:
         return FullSpec(protocol=phi, delta=delta, cars=self.cars)
 
     def phi(self) -> SpecNode:
-        left = self.seq()
+        if self.depth == MAX_NESTING:
+            self.error(f"specification nests deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        node = self.seq()
         tok = self.peek()
         if tok is not None and tok.kind == "|":
             self.pos += 1
-            return Or(left, self.phi())
-        return left
+            node = Or(node, self.phi())
+        self.depth -= 1
+        return node
 
     def seq(self) -> SpecNode:
         tok = self.peek()

@@ -135,6 +135,50 @@ def reference_receiver(n_snd=3, n_ack=1, n_nack=2) -> Csa:
     )
 
 
+def timeout_loop_csas() -> list:
+    """Hand-written CSAs whose deductions loop: after the e0 call, A times out
+    for ever through a guard-free counter update back to the same state."""
+    looper = Csa(
+        owner="A",
+        states=("s0", "s1"),
+        vars=("nu",),
+        init="s0",
+        finals=frozenset({"s1"}),
+        transitions={
+            ("s0", EnvEvent(LocalEvent("e0", "B", None, "env"))): "s1",
+            ("s1", TimeoutUpd("nu")): "s1",
+        },
+    )
+    return [looper, Csa("B", ("r0",), (), "r0", frozenset({"r0"}), {})]
+
+
+def medium_loop_csas() -> list:
+    """Hand-written CSAs that retry through the medium without a bound: A
+    rebroadcasts after every lost copy, with a counter no guard reads."""
+    a = Message("a", "A", "B")
+    sender = Csa(
+        owner="A",
+        states=("s0", "s1", "s2"),
+        vars=("mu", "nu"),
+        init="s0",
+        finals=frozenset({"s2"}),
+        transitions={
+            ("s0", EnvEvent(LocalEvent("e0", "B", None, "env"))): "s1",
+            ("s1", BroadcastCond(a, Condition("mu", "<=", 0))): "s2",
+            ("s2", TimeoutUpd("nu")): "s1",
+        },
+    )
+    receiver = Csa(
+        owner="B",
+        states=("r0", "r1"),
+        vars=(),
+        init="r0",
+        finals=frozenset({"r1"}),
+        transitions={("r0", RecvSys(a, LocalEvent("e0", "A", None, "sys"))): "r1"},
+    )
+    return [sender, receiver]
+
+
 def random_dialogue(rng: random.Random, cars=("A", "B"), max_events=10):
     """A random well-posed specification: strict turn-taking, paths >= 2 events."""
     counter = [0]

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from protoforge import events_of, export_json, parse_spec, synthesize_for_car
 from protoforge.cli import main
-from conftest import EXAMPLE_TEXT
+from protoforge.speclang import MAX_NESTING
+from conftest import EXAMPLE_TEXT, timeout_loop_csas
 
 HARD_TEXT = "delta 0.35; cars A B; snd A->B(d) . (ack B->A : 0.9 | nack B->A : 0.9)"
 
@@ -136,6 +138,58 @@ def test_verify_budget_exhaustion(spec_file, synth_dir, capsys, monkeypatch):
     assert code == 3
 
 
+def write_csas(directory, csas):
+    paths = []
+    for csa in csas:
+        path = directory / f"{csa.owner}.json"
+        path.write_text(export_json(csa))
+        paths.append(str(path))
+    return paths
+
+
+def test_verify_passes_synth_bounds_on_the_eight_event_chain(tmp_path, capsys):
+    # The bounds `synth` finds for this spec (its solver takes about half a
+    # minute, so they are given here).  Exact exploration used to run out of
+    # its 10^7-configuration budget on them.
+    names = [f"e{i} {'A->B' if i % 2 == 0 else 'B->A'}" for i in range(8)]
+    text = "delta 0.6; cars A B; " + " . ".join(names) + " : 0.5"
+    spec = tmp_path / "chain8.psl"
+    spec.write_text(text + "\n")
+    full = parse_spec(text)
+    bounds = dict(zip(events_of(full.protocol), (11, 11, 12, 12, 12, 12, 9, 4)))
+    csas = [synthesize_for_car(full.protocol, car, bounds) for car in full.cars]
+    code, out, _ = run(capsys, ["verify", *write_csas(tmp_path, csas), "--spec", str(spec)])
+    assert code == 0
+    assert "achieved 0.500006446077940" in out
+    assert out.endswith("verdict: pass\n")
+
+
+def test_verify_reports_a_cycle(tmp_path, capsys):
+    spec = tmp_path / "loop.psl"
+    spec.write_text("delta 0.35; cars A B; e0 A->B . e1 B->A : 0.5\n")
+    paths = write_csas(tmp_path, timeout_loop_csas())
+    code, out, err = run(capsys, ["verify", *paths, "--spec", str(spec)])
+    assert code == 3
+    assert out == ""
+    assert err == ("error: deduction cycle: a configuration repeats with no medium "
+                   "decision in between\n")
+
+
+@pytest.mark.parametrize("body, column", [
+    ("(" * 5000 + "e A->B . f B->A : 0.5" + ")" * 5000, 22 + MAX_NESTING),
+    (" . ".join(f"e{i} {'A->B' if i % 2 == 0 else 'B->A'}" for i in range(3000)) + " : 0.5",
+     22 + sum(len(f"e{i} A->B . ") for i in range(MAX_NESTING))),
+], ids=["5000-nested-parentheses", "3000-event-chain"])
+def test_check_rejects_too_deep_nesting(tmp_path, capsys, body, column):
+    path = tmp_path / "deep.psl"
+    path.write_text("delta 0.3; cars A B; " + body + "\n")
+    code, out, err = run(capsys, ["check", "--spec", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: 1:{column}: specification nests deeper than "
+                          f"{MAX_NESTING} levels, found ")
+
+
 def test_simulate_lossless(spec_file, synth_dir, capsys):
     code, out, _ = run(capsys, [
         "simulate", str(synth_dir / "A.json"), str(synth_dir / "B.json"),
@@ -166,11 +220,13 @@ def test_simulate_deterministic_with_traces(tmp_path, spec_file, synth_dir, caps
 
 
 def test_simulate_traces_require_out(spec_file, synth_dir, capsys):
-    code, _, err = run(capsys, [
+    code, out, err = run(capsys, [
         "simulate", str(synth_dir / "A.json"), str(synth_dir / "B.json"),
         "--spec", str(spec_file), "--runs", "5", "--seed", "0", "--traces",
     ])
     assert code == 2
+    assert out == ""
+    assert err == "--traces requires --out\n"
 
 
 def test_feasible_csv(tmp_path, capsys):

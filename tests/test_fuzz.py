@@ -1,4 +1,5 @@
-"""Property-based fuzzing of the CSA file loader through `verify`.
+"""Property-based fuzzing of the two front ends: CSA files through `verify`
+and `.psl` descriptions through `check`.
 
 Every input must end in one of the documented exit codes (0/1/2/3) and never
 in an exception; malformed input (exit 2) must leave stdout empty.
@@ -83,6 +84,52 @@ def test_verify_on_arbitrary_csa_files_ends_in_an_exit_code(tmp_path, monkeypatc
         path.write_text(json.dumps(doc))
         paths.append(str(path))
     code = main(["verify", *paths, "--spec", str(spec)])
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out == ""
+
+
+# .psl text: mostly grammatical descriptions of up to six events, some nested
+# in more parentheses than the parser accepts, and token soup or arbitrary
+# text for the rest.
+def mostly(good, bad):
+    return st.integers(0, 9).flatmap(lambda k: st.sampled_from(bad) if k == 0 else good)
+
+
+psl_number = mostly(st.sampled_from(("0", "0.3", "0.5", "0.9", "1.0")), ("1.5", "0.3.3", "7"))
+psl_event = st.builds(
+    "{} {}{}".format,
+    st.sampled_from(("e", "f", "g", "h", "snd", "ack")),
+    mostly(st.sampled_from(("A->B", "B->A")), ("A->A", "B->C", "D->A")),
+    mostly(st.sampled_from(("", "(d)")), ("()", "(d")),
+)
+psl_phi = st.recursive(
+    st.builds("{} : {}".format, psl_event, psl_number),
+    lambda inner: st.one_of(
+        st.builds("{} . {}".format, psl_event, inner),
+        st.builds("({}) | {}".format, inner, inner),
+        st.builds(lambda depth, phi: "(" * depth + phi + ")" * depth,
+                  st.sampled_from((1, 2, 99, 150, 5000)), inner),
+    ),
+    max_leaves=6,
+)
+psl_text = st.integers(0, 9).flatmap(lambda k: (
+    st.text(max_size=40) if k == 0 else
+    st.lists(st.sampled_from(("delta", "cars", "A", "B", ";", ".", ":", "|", "(", ")", "->",
+                              "0.5", "e", "#")), max_size=30).map(" ".join) if k == 1 else
+    st.builds("delta {}; cars {}; {}".format, psl_number,
+              mostly(st.just("A B"), ("A B C", "A", "A A")), psl_phi)
+))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=psl_text)
+def test_check_on_arbitrary_psl_ends_in_an_exit_code(tmp_path, capsys, text):
+    spec = tmp_path / "fuzz.psl"
+    spec.write_text(text, encoding="utf-8")
+    code = main(["check", "--spec", str(spec), "--cap", "2"])
     out = capsys.readouterr().out
     assert code in (0, 1, 2, 3)
     if code == 2:

@@ -28,7 +28,7 @@ from protoforge import (
 )
 from protoforge.semantics import BroadcastItem, EnvItem, RecvItem, SysItem, TimeoutItem
 from protoforge.speclang import GlobalEvent, events_of
-from conftest import reference_receiver, reference_sender
+from conftest import medium_loop_csas, reference_receiver, reference_sender, timeout_loop_csas
 
 # Exact synchronization probability of snd.ack with bounds (3, 1) at drop
 # probability 0.35, pinned by the exhaustive deduction below and equal to the
@@ -316,6 +316,58 @@ def test_budget_env_override(monkeypatch, reference_csas, snd_ack):
     monkeypatch.setenv("PROTOFORGE_BUDGET", "2")
     with pytest.raises(DivergenceDetected):
         explore_sync(reference_csas, 0.35, snd_ack)
+
+
+def test_explore_work_stays_small_on_a_six_event_chain():
+    # Counts distinct configs rather than time, so it holds on any machine.
+    # Without zeroing the counters no guard reads again there are 893,619.
+    names = ["e0 A->B", "e1 B->A", "e2 A->B", "e3 B->A", "e4 A->B", "e5 B->A"]
+    spec = parse_spec("delta 0.6; cars A B; " + " . ".join(names) + " : 0.3")
+    bounds = {e: 8 for e in events_of(spec.protocol)}
+    csas = [synthesize_for_car(spec.protocol, c, bounds) for c in ("A", "B")]
+    (pseq,) = enumerate_sequences(spec.protocol)
+    result = explore_sync(csas, 0.6, pseq.events)
+    assert result.configs_processed <= 2_000
+    assert result.probability == pytest.approx(sync_prob([8] * 6, 0.6), abs=1e-12)
+    assert result.conservation_error < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Cycles
+
+
+E0 = (GlobalEvent("e0", "A", "B"),)
+
+
+def test_timeout_self_loop_is_reported_as_a_cycle(monkeypatch):
+    # At the default budget: the loop revisits one config, which the graph
+    # reports at once instead of counting configs up to the budget.
+    monkeypatch.delenv("PROTOFORGE_BUDGET", raising=False)
+    csas = timeout_loop_csas()
+    with pytest.raises(DivergenceDetected, match="cycle"):
+        explore_sync(csas, 0.35, E0)
+    with pytest.raises(DivergenceDetected, match="cycle"):
+        run_monte_carlo(csas, 0.35, E0, runs=3, seed=1)
+
+
+def test_retry_loop_through_the_medium():
+    csas = medium_loop_csas()
+    # Exact exploration cannot sum around the loop ...
+    with pytest.raises(DivergenceDetected, match="cycle"):
+        explore_sync(csas, 0.5, E0)
+    # ... which has no probability at drop probability 0 ...
+    assert explore_sync(csas, 0.0, E0).probability == 1.0
+    # ... while sampled runs leave it as soon as a copy is delivered.
+    result = run_monte_carlo(csas, 0.5, E0, runs=200, seed=4, collect_traces=True)
+    assert result.successes == 200
+    for trace in result.traces:
+        retries = trace["rho"].count("A: T.O.(nu)")
+        assert trace["rho"] == (["A: env e0->B"] + ["A: T.O.(nu)"] * retries
+                                + ["B: ?a_A->B", "B: sys e0<-A"])
+    assert any("A: T.O.(nu)" in trace["rho"] for trace in result.traces)
+    # When every copy is lost the walk can only go round.
+    with pytest.raises(DivergenceDetected, match="cycle"):
+        run_monte_carlo(csas, 1.0, E0, runs=1, seed=4)
 
 
 # ---------------------------------------------------------------------------

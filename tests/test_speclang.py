@@ -71,6 +71,28 @@ def test_parse_syntax_error_carries_position():
     assert err.value.line == 2
 
 
+def chain_text(n):
+    return " . ".join(f"e{i} {'A->B' if i % 2 == 0 else 'B->A'}" for i in range(n))
+
+
+def test_nesting_limit_counts_parentheses_and_chained_events():
+    from protoforge.speclang import MAX_NESTING
+
+    half = MAX_NESTING // 2
+    at_limit = "(" * half + chain_text(MAX_NESTING - half) + " : 0.5" + ")" * half
+    full = parse_spec("delta 0.3; cars A B; " + at_limit)
+    # The tree walks recurse once per level and stay within the default limit.
+    assert len(enumerate_sequences(full.protocol)[0].events) == MAX_NESTING - half
+    assert well_posed(full.protocol).ok
+    assert parse_spec(format_spec(full)) == full
+    # One more parenthesis: the limit is passed at the chain's last event.
+    deeper = "(" + at_limit + ")"
+    with pytest.raises(SpecSyntaxError, match=f"nests deeper than {MAX_NESTING} levels") as exc:
+        parse_spec("delta 0.3; cars A B;\n" + deeper)
+    last = f"e{MAX_NESTING - half - 1} "
+    assert (exc.value.line, exc.value.column) == (2, deeper.index(last) + 1)
+
+
 def test_parse_comments_and_whitespace():
     text = "# header\ndelta 0.35; # inline\ncars A B;\nsnd A->B(d)\n  . (ack B->A : 0.7 | nack B->A : 0.8)\n"
     assert parse_spec(text) == parse_spec(EXAMPLE_TEXT)

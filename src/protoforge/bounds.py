@@ -20,7 +20,8 @@ deduction semantics by tests.
 The bound optimization minimizes the total of all retransmission bounds
 subject to every sequence of the specification reaching its required
 probability.  The solver exploits that P is nondecreasing in every bound.  It
-first gallops to an anchor: the least u in 1, 2, 4, ... below the cap whose
+returns the zero vector at once when that meets every requirement, and
+otherwise first gallops to an anchor: the least u in 1, 2, 4, ... below the cap whose
 all-u vector is feasible, else the cap itself.  The optimum total is then at
 most k*u for k events, so no bound in it exceeds top = min(cap, k*u), and top
 stands in for the cap from there on: per-variable lower bounds come from
@@ -172,9 +173,6 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
     _check_delta(drop_prob)
     k = len(events)
 
-    if drop_prob == 0.0:
-        return {e: 0 for e in events}
-
     sup = sup_sync_prob_two(drop_prob)
     for idxs, p in constraints:
         unattainable = p > sup or (p == sup and 0.0 < drop_prob < 1.0 and p > 0.0)
@@ -190,6 +188,12 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
 
     def feasible(vec):
         return all(value(vec, idxs) >= p for idxs, p in constraints)
+
+    # The zero vector is the unique total-0 candidate (and the answer at drop
+    # probability 0); the search below would also return it, but only after
+    # the gallop and the per-variable bisections at top.
+    if feasible([0] * k):
+        return {e: 0 for e in events}
 
     # Gallop to the least u in 1, 2, 4, ... below the cap whose all-u vector
     # is feasible.  The optimum total is then at most k*u, so no bound in the

@@ -119,6 +119,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
+def _wilson95(successes: int, runs: int) -> tuple[float, float]:
+    """The 95% Wilson score interval (z = 1.96) of a success rate.
+
+    Each end is computed from its own side's count, so 0 and `runs`
+    successes give the ends 0.0 and 1.0 exactly.
+    """
+    z = 1.96
+    half = z * math.sqrt(successes * (runs - successes) / runs + (z / 2) ** 2)
+
+    def below(k):
+        return (k + z * z / 2 - half) / (runs + z * z)
+
+    return below(successes), 1.0 - below(runs - successes)
+
+
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out) if args.out else None
     if args.traces and out_dir is None:
@@ -136,10 +151,10 @@ def cmd_simulate(args) -> int:
             csas, full.delta, pseq.events, runs=args.runs, seed=args.seed,
             collect_traces=args.traces,
         )
-        rate = result.empirical_rate
-        stderr = math.sqrt(rate * (1.0 - rate) / result.runs)
+        lo, hi = _wilson95(result.successes, result.runs)
         names = ".".join(e.name for e in pseq.events)
-        print(f"  {names}: {result.successes}/{result.runs} rate {rate!r} stderr {stderr!r}")
+        print(f"  {names}: {result.successes}/{result.runs} rate {result.empirical_rate!r} "
+              f"ci95 [{lo!r}, {hi!r}]")
         if args.traces:
             lines = [json.dumps(t, sort_keys=True) for t in result.traces]
             (out_dir / f"traces_{i}_{names}.jsonl").write_text("\n".join(lines) + "\n")

@@ -28,6 +28,7 @@ runs re-expand only the edges walked.  `global_steps` steps the engine alone.
 from __future__ import annotations
 
 import os
+import random
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -580,21 +581,23 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Sample executions of the global semantics with Bernoulli medium outcomes.
 
-    Each run walks the deduction graph from its root.  Deterministic for a
-    given seed: run k draws from its own stream seeded by (seed, k).  Ties
-    between enabled non-medium rules are resolved in a fixed order
-    (synthesized CSAs never have any).
+    Each run walks the deduction graph from its root, drawing one number per
+    medium node it passes.  All runs of a call share one stream, seeded from
+    the seed's decimal text (so seeds 5 and -5 differ), and run k takes its
+    draws after runs 0..k-1.  The output is deterministic for a given seed and
+    sigma, and prefix-stable: the first n runs and their traces are the same
+    for any runs >= n.  Ties between enabled non-medium rules are resolved in
+    a fixed order (synthesized CSAs never have any).
     """
-    import random
-
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     graph = _Graph(csas, sigma, drop_prob)
+    rng = random.Random(str(seed))
     successes = 0
     traces = [] if collect_traces else None
     for k in range(runs):
         path = [] if collect_traces else None
-        end = _walk(graph, random.Random(f"{seed}:{k}"), path)
+        end = _walk(graph, rng, path)
         successes += end.kind == _SUCCESS
         if collect_traces:
             traces.append(_trace(graph, k, path, end))

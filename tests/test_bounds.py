@@ -158,6 +158,21 @@ def test_solve_opt_work_stays_small_on_a_four_event_chain():
     assert info.hits + info.misses < 200_000
 
 
+def test_solve_opt_returns_zeros_at_once_when_zeros_suffice():
+    # A 40-event chain that any bounds meet.  Searching for the optimum from
+    # a galloped anchor instead of trying the zero vector first makes 186,398
+    # _phase misses here.
+    from protoforge import bounds
+
+    chain = " . ".join(f"e{i} {'A->B' if i % 2 == 0 else 'B->A'}" for i in range(40))
+    spec = parse_spec(f"delta 0.3; cars A B; {chain} : 0.0")
+    bounds._phase.cache_clear()
+    bounds._sync_prob.cache_clear()
+    solved = solve_opt(spec.protocol, 0.3)
+    assert list(solved.values()) == [0] * 40
+    assert bounds._phase.cache_info().misses < 1_000
+
+
 def test_solve_opt_rejects_ill_posed():
     spec = parse_spec("delta 0.2; cars A B; e A->B : 0.5")
     with pytest.raises(NotWellPosed):

@@ -200,6 +200,23 @@ def test_simulate_lossless(spec_file, synth_dir, capsys):
     assert out.count("rate 1.0") == 2
 
 
+def test_simulate_interval_at_rate_one(spec_file, synth_dir, capsys):
+    # Where a Wald interval collapses to a point, the Wilson interval keeps
+    # its width: 50 successes of 50 still leave a lower end below 1.
+    code, out, _ = run(capsys, [
+        "simulate", str(synth_dir / "A.json"), str(synth_dir / "B.json"),
+        "--spec", str(spec_file), "--delta", "0", "--runs", "50", "--seed", "1",
+    ])
+    assert code == 0
+    rows = [line for line in out.splitlines() if " ci95 " in line]
+    assert len(rows) == 2
+    for line in rows:
+        assert line.split(": ", 1)[1].startswith("50/50 rate 1.0 ci95 [")
+        lo, hi = (float(x) for x in line.split(" ci95 [")[1].rstrip("]").split(", "))
+        assert hi == 1.0
+        assert 0.9 < lo < 1.0
+
+
 def test_simulate_deterministic_with_traces(tmp_path, spec_file, synth_dir, capsys):
     argv_for = lambda out_dir: [
         "simulate", str(synth_dir / "A.json"), str(synth_dir / "B.json"),

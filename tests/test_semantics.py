@@ -424,6 +424,38 @@ def test_monte_carlo_seed_determinism(reference_csas, snd_ack):
     assert other.traces != one.traces
 
 
+def test_monte_carlo_runs_are_prefix_stable(reference_csas, snd_ack):
+    # Run k draws after runs 0..k-1, so more runs only append.
+    short = run_monte_carlo(reference_csas, 0.35, snd_ack, runs=30, seed=9, collect_traces=True)
+    long = run_monte_carlo(reference_csas, 0.35, snd_ack, runs=60, seed=9, collect_traces=True)
+    assert short.traces == long.traces[:30]
+    assert short.successes == sum(t["outcome"] == "success" for t in long.traces[:30])
+
+
+def test_monte_carlo_seed_sign_matters(reference_csas, snd_ack):
+    # random.Random(-5) and random.Random(5) give one stream; the seed's
+    # decimal text tells them apart.
+    plus = run_monte_carlo(reference_csas, 0.35, snd_ack, runs=60, seed=5, collect_traces=True)
+    minus = run_monte_carlo(reference_csas, 0.35, snd_ack, runs=60, seed=-5, collect_traces=True)
+    assert plus.traces != minus.traces
+
+
+def test_monte_carlo_builds_one_generator_per_call(monkeypatch, reference_csas, snd_ack):
+    from protoforge import semantics
+
+    built = []
+
+    class Counted(semantics.random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(semantics.random, "Random", Counted)
+    run_monte_carlo(reference_csas, 0.35, snd_ack, runs=500, seed=9, collect_traces=True)
+    run_monte_carlo(reference_csas, 0.35, snd_ack, runs=500, seed=10)
+    assert built == [("9",), ("10",)]
+
+
 def test_monte_carlo_trace_schema(reference_csas, snd_ack):
     result = run_monte_carlo(reference_csas, 0.35, snd_ack, runs=5, seed=0,
                              collect_traces=True)

@@ -11,14 +11,20 @@
 --cap takes a nonnegative integer, --runs a positive one.
 
 Exit codes: 0 success, 1 requirement not met (unrealizable or verification
-failure), 2 malformed input or I/O error, 3 exploration budget exhausted or
-a cycle in the deductions of hand-written CSAs.  PROTOFORGE_BUDGET overrides
-the budget of distinct configurations.
+failure), 2 malformed input or I/O error (including a grid with a non-finite
+or, for --grid-n, non-integer value, and medium parameters out of their
+domain), 3 exploration budget exhausted or a cycle in the deductions of
+hand-written CSAs.  PROTOFORGE_BUDGET overrides the budget of distinct
+configurations.
+
+`main` may be called any number of times in one process; the argument parser
+is built on first use and shared by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,6 +35,7 @@ from . import medium as medium_mod
 from .csa import export_dot, export_json, import_json
 from .errors import (
     DivergenceDetected,
+    InvalidParams,
     NotWellPosed,
     ProbabilityOutOfRange,
     ProtoforgeError,
@@ -166,6 +173,11 @@ def _parse_grid(text: str, integer: bool) -> list:
     if len(parts) != 3:
         raise ValueError(f"grid {text!r} is not of the form START:STOP:STEP")
     start, stop, step = (float(p) for p in parts)
+    # Checked before the loop below, which never ends on an infinite STOP.
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError(f"grid {text!r} must have finite START, STOP and STEP")
+    if integer and not all(x.is_integer() for x in (start, stop, step)):
+        raise ValueError(f"grid {text!r} must have integer START, STOP and STEP")
     if step <= 0 or stop < start:
         raise ValueError(f"grid {text!r} must have positive step and stop >= start")
     values = []
@@ -205,6 +217,11 @@ def _int_at_least(low: int):
     return parse
 
 
+# Built once per process: `parse_args` returns a fresh Namespace on every
+# call and never mutates the parser, the subcommand defaults are constant,
+# `prog` is fixed, and help and usage text are formatted when printed (at the
+# terminal width of that moment), so every call sees what a new parser would.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="protoforge", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -259,7 +276,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecSyntaxError, ProbabilityOutOfRange, OSError, ValueError, KeyError) as exc:
+    except (SpecSyntaxError, ProbabilityOutOfRange, InvalidParams, OSError, ValueError,
+            KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DivergenceDetected as exc:

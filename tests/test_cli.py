@@ -1,9 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import protoforge
 from protoforge import events_of, export_json, parse_spec, synthesize_for_car
-from protoforge.cli import main
+from protoforge.cli import build_parser, main
 from protoforge.speclang import MAX_NESTING
 from conftest import EXAMPLE_TEXT, timeout_loop_csas
 
@@ -266,6 +271,30 @@ def test_feasible_bad_grid(spec_file, capsys):
     assert code == 2
 
 
+def _grid_must_have(grid, what):
+    return f"grid {grid!r} must have {what} START, STOP and STEP"
+
+
+@pytest.mark.parametrize("flag, grid, message", [
+    ("--grid-n", "2:4:nan", _grid_must_have("2:4:nan", "finite")),
+    ("--grid-n", "nan:4:1", _grid_must_have("nan:4:1", "finite")),
+    # Rejected before the grid is filled, which would otherwise never end.
+    ("--grid-n", "2:inf:1", _grid_must_have("2:inf:1", "finite")),
+    ("--grid-n", "2.5:3:1", _grid_must_have("2.5:3:1", "integer")),
+    ("--grid-n", "2:4:0.5", _grid_must_have("2:4:0.5", "integer")),
+    ("--grid-dmax", "100:inf:100", _grid_must_have("100:inf:100", "finite")),
+    ("--grid-tau", "1:nan:1", _grid_must_have("1:nan:1", "finite")),
+    # Grid points outside the medium's domain are malformed input too.
+    ("--grid-n", "1:3:1", "need at least two cars, got 1"),
+    ("--grid-tau", "0:0:1", "minimum delay must be positive, got 0.0"),
+])
+def test_feasible_rejects_malformed_grids(spec_file, capsys, flag, grid, message):
+    code, out, err = run(capsys, ["feasible", "--spec", str(spec_file), flag, grid])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_feasible_deterministic(tmp_path, spec_file, capsys):
     argv = ["feasible", "--spec", str(spec_file),
             "--grid-n", "2:6:2", "--grid-dmax", "100:100:1", "--grid-tau", "1:1:1"]
@@ -335,3 +364,74 @@ def test_verify_rejects_malformed_csa_file(tmp_path, spec_file, synth_dir, capsy
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_main_builds_the_parser_once_per_process(spec_file, synth_dir, capsys, monkeypatch):
+    csas = [str(synth_dir / "A.json"), str(synth_dir / "B.json")]
+    argvs = [
+        ["check", "--spec", str(spec_file)],
+        ["verify", *csas, "--spec", str(spec_file)],
+        ["feasible", "--spec", str(spec_file), "--grid-n", "2:3:1",
+         "--grid-dmax", "100:100:1", "--grid-tau", "1:1:1"],
+    ]
+    main(argvs[0])  # builds the parser, unless an earlier test already has
+    built = []
+
+    class Counting(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(argparse, "ArgumentParser", Counting)
+    for _ in range(10):
+        for argv in argvs:
+            assert main(argv) == 0
+        assert rejected(capsys, ["check", "--cap", "-1"])[0] == 2
+    capsys.readouterr()
+    assert built == []
+
+
+def test_calls_share_no_state(tmp_path, spec_file, synth_dir, capsys):
+    assert main(["synth", "--spec", str(spec_file), "--out", str(tmp_path / "d"),
+                 "--format", "dot"]) == 0
+    assert main(["synth", "--spec", str(spec_file), "--out", str(tmp_path / "both")]) == 0
+    names = sorted(p.name for p in (tmp_path / "both").iterdir())
+    assert names == ["A.dot", "A.json", "B.dot", "B.json", "bounds.json"]
+    capsys.readouterr()
+
+    simulate = ["simulate", str(synth_dir / "A.json"), str(synth_dir / "B.json"),
+                "--spec", str(spec_file), "--runs", "200"]
+    default = run(capsys, simulate)
+    seeded = run(capsys, simulate + ["--seed", "7"])
+    assert seeded[0] == 0 and "seed: 7\n" in seeded[1]
+    assert run(capsys, simulate) == default
+    assert "seed: 0\n" in default[1]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["feasible", "--help"], ["verify", "--spec"], []],
+                         ids=["help", "feasible-help", "missing-value", "no-command"])
+def test_help_and_usage_errors_repeat_byte_for_byte(capsys, monkeypatch, argv):
+    # The shared parser formats help and usage text when it prints them, so
+    # every call follows the terminal width of its own moment.
+    def at(columns, fresh):
+        monkeypatch.setenv("COLUMNS", columns)
+        if fresh:
+            build_parser.cache_clear()
+        return rejected(capsys, argv)
+
+    wide, narrow = at("200", fresh=True), at("50", fresh=True)
+    assert wide != narrow
+    assert at("200", fresh=False) == wide
+    assert at("50", fresh=False) == narrow
+
+
+def test_python_dash_m_runs_the_cli(spec_file, capsys):
+    src_root = os.path.dirname(os.path.dirname(protoforge.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "protoforge", "check", "--spec", str(spec_file)],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert (0, proc.stdout, "") == run(capsys, ["check", "--spec", str(spec_file)])

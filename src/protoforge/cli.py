@@ -12,10 +12,10 @@
 
 Exit codes: 0 success, 1 requirement not met (unrealizable or verification
 failure), 2 malformed input or I/O error (including a grid with a non-finite
-or, for --grid-n, non-integer value, and medium parameters out of their
-domain), 3 exploration budget exhausted or a cycle in the deductions of
-hand-written CSAs.  PROTOFORGE_BUDGET overrides the budget of distinct
-configurations.
+or, for --grid-n, non-integer value, a grid of more than MAX_GRID_POINTS
+points, and medium parameters out of their domain), 3 exploration budget
+exhausted or a cycle in the deductions of hand-written CSAs.
+PROTOFORGE_BUDGET overrides the budget of distinct configurations.
 
 `main` may be called any number of times in one process; the argument parser
 is built on first use and shared by every later call.
@@ -28,7 +28,9 @@ import functools
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 from . import bounds as bounds_mod
 from . import medium as medium_mod
@@ -50,6 +52,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+
+MAX_GRID_POINTS = 10**6  # largest N x d_max x tau_min grid that `feasible` sweeps
 
 
 def _load_spec(path: str, delta_override) -> FullSpec:
@@ -168,31 +172,42 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str, integer: bool) -> list:
+def _parse_grid(text: str, integer: bool) -> tuple[int, Iterator]:
+    """The number of points of a START:STOP:STEP grid and a lazy iterator over
+    them: START + k*STEP for k = 0, 1, ... up to STOP, computed exactly from
+    the decimal text and rounded once (to int when `integer`, else to float).
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid {text!r} is not of the form START:STOP:STEP")
-    start, stop, step = (float(p) for p in parts)
-    # Checked before the loop below, which never ends on an infinite STOP.
-    if not all(math.isfinite(x) for x in (start, stop, step)):
+    floats = [float(p) for p in parts]
+    if not all(math.isfinite(x) for x in floats):
         raise ValueError(f"grid {text!r} must have finite START, STOP and STEP")
-    if integer and not all(x.is_integer() for x in (start, stop, step)):
+    # A value whose float is 0 is taken as 0, so that no exact value needs a
+    # power of ten beyond what the length of its text allows ('0e-999999999').
+    start, stop, step = (Fraction(p) if x else Fraction(0) for p, x in zip(parts, floats))
+    if integer and not all(x.denominator == 1 for x in (start, stop, step)):
         raise ValueError(f"grid {text!r} must have integer START, STOP and STEP")
     if step <= 0 or stop < start:
         raise ValueError(f"grid {text!r} must have positive step and stop >= start")
-    values = []
-    v = start
-    while v <= stop + 1e-9:
-        values.append(int(round(v)) if integer else v)
-        v += step
-    return values
+    count = (stop - start) // step + 1
+    to = int if integer else float
+    return count, (to(start + k * step) for k in range(count))
 
 
 def cmd_feasible(args) -> int:
     full = _load_spec(args.spec, None)
-    grid_n = _parse_grid(args.grid_n, integer=True)
-    grid_dmax = _parse_grid(args.grid_dmax, integer=False)
-    grid_tau = _parse_grid(args.grid_tau, integer=False)
+    grids = [
+        _parse_grid(args.grid_n, integer=True),
+        _parse_grid(args.grid_dmax, integer=False),
+        _parse_grid(args.grid_tau, integer=False),
+    ]
+    counts = [count for count, _ in grids]
+    if math.prod(counts) > MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid of {' x '.join(map(str, counts))} points is larger than {MAX_GRID_POINTS}"
+        )
+    grid_n, grid_dmax, grid_tau = (list(points) for _, points in grids)
     rows = medium_mod.feasibility_sweep(
         full.protocol, grid_n, grid_dmax, grid_tau, cap=args.cap
     )

@@ -295,6 +295,30 @@ def test_feasible_rejects_malformed_grids(spec_file, capsys, flag, grid, message
     assert err == f"error: {message}\n"
 
 
+def test_feasible_grid_points_are_exact(spec_file, capsys):
+    code, out, _ = run(capsys, [
+        "feasible", "--spec", str(spec_file),
+        "--grid-n", "2:2:1", "--grid-dmax", "100:100:1", "--grid-tau", "0.1:0.7:0.1",
+    ])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[3] == "2,100.0,0.3,0.0,0.2,true,2"
+    # STOP is reached exactly and included.
+    assert [line.split(",")[2] for line in lines[1:]] == [f"0.{k}" for k in range(1, 8)]
+
+
+@pytest.mark.parametrize("flag, grid, sizes", [
+    ("--grid-n", "2:1e12:1", "999999999999 x 10 x 10"),
+    ("--grid-tau", "1:10:1e-12", "10 x 10 x 9000000000001"),
+])
+def test_feasible_rejects_oversized_grids(spec_file, capsys, flag, grid, sizes):
+    # Both are rejected from their point counts, before any point is built.
+    code, out, err = run(capsys, ["feasible", "--spec", str(spec_file), flag, grid])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: grid of {sizes} points is larger than 1000000\n"
+
+
 def test_feasible_deterministic(tmp_path, spec_file, capsys):
     argv = ["feasible", "--spec", str(spec_file),
             "--grid-n", "2:6:2", "--grid-dmax", "100:100:1", "--grid-tau", "1:1:1"]

@@ -1,14 +1,27 @@
+import itertools
+
 import pytest
 
 from protoforge import (
+    Infeasible,
     InvalidParams,
     MediumParams,
     NotWellPosed,
     drop_prob,
     feasibility_sweep,
+    medium,
     parse_spec,
+    solve_opt,
     sweep_csv,
 )
+
+# The CLI's default grid (1000 points) and a 16-point grid for a tree whose
+# two sequences have different lengths.
+DEFAULT_GRID = (
+    list(range(2, 12)), [100.0 * k for k in range(1, 11)], [float(k) for k in range(1, 11)]
+)
+MIXED_TEXT = "delta 0.2; cars A B; a A->B(d) . (b B->A : 0.6 | c B->A . d A->B : 0.5)"
+MIXED_GRID = ([2, 5, 8, 11], [100.0, 1000.0], [1.0, 10.0])
 
 
 def test_two_cars_baseline():
@@ -117,3 +130,31 @@ def test_csv_shape(example_spec):
     infeasible_cells = lines[2].split(",")
     assert infeasible_cells[5] == "false"
     assert infeasible_cells[6] == ""
+
+
+def test_sweep_solves_each_distinct_delta_once(example_spec, monkeypatch):
+    deltas = []
+    solve = medium._solve
+
+    def counted(events, constraints, delta, cap):
+        deltas.append(delta)
+        return solve(events, constraints, delta, cap)
+
+    monkeypatch.setattr(medium, "_solve", counted)
+    rows = feasibility_sweep(example_spec.protocol, *DEFAULT_GRID)
+    assert len(rows) == 1000
+    assert len(deltas) == len(set(deltas)) == len({row.delta for row in rows}) == 199
+
+
+@pytest.mark.parametrize("text, grid", [(None, DEFAULT_GRID), (MIXED_TEXT, MIXED_GRID)],
+                         ids=["example-default", "mixed-16"])
+def test_sweep_rows_match_a_solve_per_point(example_spec, text, grid):
+    spec = example_spec.protocol if text is None else parse_spec(text).protocol
+    rows = feasibility_sweep(spec, *grid)
+    assert [(row.n_cars, row.d_max, row.tau_min) for row in rows] == list(itertools.product(*grid))
+    for row in rows:
+        params = MediumParams(row.n_cars, row.d_max, row.tau_min)
+        assert (row.rate, row.delta) == (params.rate, drop_prob(params))
+        solved = solve_opt(spec, row.delta)
+        ok = not isinstance(solved, Infeasible)
+        assert (row.realizable, row.sum_bounds) == (ok, sum(solved.values()) if ok else None)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -239,6 +240,39 @@ def test_simulate_deterministic_with_traces(tmp_path, spec_file, synth_dir, caps
         assert p1.read_bytes() == p2.read_bytes()
     first = json.loads(t1[0].read_text().splitlines()[0])
     assert set(first) == {"run", "outcome", "rho", "final_states"}
+
+
+def test_simulate_golden_counts(spec_file, synth_dir, capsys):
+    # Pinned outputs, not a comparison of the program with itself: any change
+    # to the order or number of draws moves these counts.
+    code, out, _ = run(capsys, [
+        "simulate", str(synth_dir / "A.json"), str(synth_dir / "B.json"),
+        "--spec", str(spec_file), "--runs", "25000", "--seed", "1",
+    ])
+    assert code == 0
+    assert out == (
+        "delta: 0.35\nseed: 1\nruns: 25000\n"
+        "  snd.ack: 19648/25000 rate 0.78592 ci95 [0.7807915959773009, 0.790960546301508]\n"
+        "  snd.nack: 20350/25000 rate 0.814 ci95 [0.8091284699514261, 0.8187750438830241]\n"
+    )
+
+
+def test_simulate_golden_traces(tmp_path, spec_file, synth_dir, capsys):
+    out_dir = tmp_path / "traces"
+    code, _, _ = run(capsys, [
+        "simulate", str(synth_dir / "A.json"), str(synth_dir / "B.json"),
+        "--spec", str(spec_file), "--runs", "300", "--seed", "5",
+        "--traces", "--out", str(out_dir),
+    ])
+    assert code == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out_dir.iterdir()}
+    assert digests == {
+        "traces_0_snd.ack.jsonl":
+            "757327ea640dcbd0a75d0eeded0ba53b129b8cfe629d104dd9ac8823e7d58806",
+        "traces_1_snd.nack.jsonl":
+            "0aa50893da445b1652c9bf4e0101196b528c9d2ab2605a8b538fdae179ccbebe",
+    }
 
 
 def test_simulate_traces_require_out(spec_file, synth_dir, capsys):

@@ -150,13 +150,16 @@ def cmd_simulate(args) -> int:
     if args.traces and out_dir is None:
         print("--traces requires --out", file=sys.stderr)
         return EXIT_INPUT
+    if out_dir is not None and not args.traces:
+        print("--out requires --traces", file=sys.stderr)
+        return EXIT_INPUT
     full = _load_spec(args.spec, args.delta)
     csas = [import_json(Path(p).read_text()) for p in args.csas]
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
     print(f"delta: {full.delta!r}")
     print(f"seed: {args.seed}")
     print(f"runs: {args.runs}")
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
     for i, pseq in enumerate(enumerate_sequences(full.protocol)):
         result = run_monte_carlo(
             csas, full.delta, pseq.events, runs=args.runs, seed=args.seed,
@@ -270,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, csas=True)
     p.add_argument("--runs", type=_int_at_least(1), default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--traces", action="store_true", help="write trace JSONL files")
-    p.add_argument("--out", default=None, help="output directory for traces")
+    p.add_argument("--traces", action="store_true",
+                   help="write trace JSONL files (requires --out)")
+    p.add_argument("--out", default=None, help="output directory for traces (requires --traces)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("feasible", help="realizability sweep over medium parameters")

@@ -21,8 +21,9 @@ env transitions with timeouts or receptions, so rule selection is unaffected).
 All these rules are implemented once, in `_Engine`.  `_Graph` builds from it
 one lazily compiled deduction graph per (CSAs, sigma), with dead counters
 zeroed and runs of single successors collapsed, and three consumers use it:
-`explore_sync` evaluates it backward, `run_monte_carlo` walks it, and traced
-runs re-expand only the edges walked.  `global_steps` steps the engine alone.
+`explore_sync` evaluates it backward, `run_monte_carlo` walks int-indexed
+tables of its next medium nodes, and traced runs re-expand only the edges
+walked.  `global_steps` steps the engine alone.
 """
 
 from __future__ import annotations
@@ -581,77 +582,198 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Sample executions of the global semantics with Bernoulli medium outcomes.
 
-    Each run walks the deduction graph from its root, drawing one number per
-    medium node it passes.  All runs of a call share one stream, seeded from
-    the seed's decimal text (so seeds 5 and -5 differ), and run k takes its
-    draws after runs 0..k-1.  The output is deterministic for a given seed and
-    sigma, and prefix-stable: the first n runs and their traces are the same
-    for any runs >= n.  Ties between enabled non-medium rules are resolved in
-    a fixed order (synthesized CSAs never have any).
+    Each run walks next-medium-node tables over the deduction graph from its
+    root, drawing one number per medium node it passes.  All runs of a call
+    share one stream, seeded from the seed's decimal text (so seeds 5 and -5
+    differ), and run k takes its draws after runs 0..k-1.  The output is
+    deterministic for a given seed and sigma, and prefix-stable: the first n
+    runs and their traces are the same for any runs >= n.  Ties between
+    enabled non-medium rules are resolved in a fixed order (synthesized CSAs
+    never have any).  At drop probability 0 or 1 every run takes the same
+    path, so it is walked once.  A run that can no longer end raises
+    DivergenceDetected.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     graph = _Graph(csas, sigma, drop_prob)
+    tables = _Tables(graph)
     rng = random.Random(str(seed))
-    successes = 0
-    traces = [] if collect_traces else None
+    chance = 0.0 < drop_prob < 1.0
+    if not collect_traces:
+        successes = tables.walk(runs, rng.random) if chance else runs * tables.walk(1, rng.random)
+        return MonteCarloResult(runs, successes, runs - successes, successes / runs)
+
+    decisions: list = []  # the current run's medium outcomes, True for a drop
+
+    def draw():
+        x = rng.random()
+        decisions.append(x < drop_prob)
+        return x
+
+    traces = []
     for k in range(runs):
-        path = [] if collect_traces else None
-        end = _walk(graph, rng, path)
-        successes += end.kind == _SUCCESS
-        if collect_traces:
-            traces.append(_trace(graph, k, path, end))
+        if chance or k == 0:
+            decisions.clear()
+            success = tables.walk(1, draw)
+        traces.append(_trace(graph, k, decisions, success))
+    successes = sum(t["outcome"] == _SUCCESS for t in traces)
     return MonteCarloResult(runs, successes, runs - successes, successes / runs, traces)
 
 
-def _walk(graph: _Graph, rng, path: Optional[list] = None) -> _Node:
-    """Walk one run from the root to its end node, appending each decision
-    (node, dropped) to path if given.
+_END_SUCCESS, _END_FAILURE = -1, -2  # walk-table entries for the end of a run
 
-    A medium node draws once from rng and takes its first delivery unless
-    the draw drops the message; a free node takes its first successor.  More
-    steps without a random outcome than the graph has configs mean a cycle.
+
+class _Tables:
+    """Next-medium-node tables over a deduction graph, for sampled runs.
+
+    Index i names the i-th medium node met.  deliver[i] and drop[i] give the
+    index of the medium node a run reaches next after that outcome, following
+    free nodes along their first successor, or _END_SUCCESS / _END_FAILURE at
+    an end.  An entry not needed yet holds -3 - 2i (deliver) or -4 - 2i (drop)
+    and is filled, and its node linked, on first use.
+
+    While the filled entries form no cycle, a run cannot go round and the
+    walk needs no step bound.  rank keeps rank[t] > rank[i] along every
+    filled entry i -> t; a rank increase that comes back to i marks the
+    tables cyclic, and from then on each walk is bounded and checked.
     """
-    d = graph.drop_prob
-    chance = 0.0 < d < 1.0
-    node, idle = graph.root, 0
-    while node.kind == _MEDIUM or node.kind == _FREE:
+
+    def __init__(self, graph: _Graph):
+        self.graph = graph
+        self.index: dict = {}  # medium node -> index
+        self.nodes: list = []
+        self.deliver: list = []
+        self.drop: list = []
+        self.rank: list = []
+        self.cyclic = False
+        self.leaves: set = set()  # indices from which an end is known to be reachable
+        self.root = self._resolve(graph.root)
+
+    def walk(self, runs: int, draw) -> int:
+        """Walk runs from the root and return how many succeed.  Each
+        medium decision calls draw() once and drops the message when the
+        result is below the drop probability."""
+        d, deliver, drop, root = self.graph.drop_prob, self.deliver, self.drop, self.root
+        cyclic = self.cyclic
+        successes = 0
+        for _ in range(runs):
+            i = root
+            while i >= 0:
+                if cyclic:
+                    i = self._walk_bounded(i, draw)
+                else:
+                    while i >= 0:
+                        i = drop[i] if draw() < d else deliver[i]
+                if i < _END_FAILURE:
+                    i = self._fill(i)
+                    cyclic = self.cyclic
+            successes += i == _END_SUCCESS
+        return successes
+
+    def _walk_bounded(self, i: int, draw) -> int:
+        # At most as many decisions as the graph has configs, then a check
+        # that the run can still end.
+        d, deliver, drop = self.graph.drop_prob, self.deliver, self.drop
+        for _ in range(len(self.graph.nodes)):
+            i = drop[i] if draw() < d else deliver[i]
+            if i < 0:
+                return i
+        self._check_leaves(i)
+        return i
+
+    def _resolve(self, node: _Node) -> int:
+        # The index of node, or of the medium node or end its free nodes lead to.
+        seen = set()
+        while node.kind == _FREE:
+            if node in seen:
+                raise _cycle("repeats with no random medium outcome in between")
+            seen.add(node)
+            if node.succ is None:
+                self.graph.link(node)
+            node = node.succ[0]
+        if node.kind != _MEDIUM:
+            return _END_SUCCESS if node.kind == _SUCCESS else _END_FAILURE
+        i = self.index.get(node)
+        if i is None:
+            i = self.index[node] = len(self.nodes)
+            self.nodes.append(node)
+            self.deliver.append(-3 - 2 * i)
+            self.drop.append(-4 - 2 * i)
+            self.rank.append(0)
+        return i
+
+    def _fill(self, entry: int) -> int:
+        i, dropped = divmod(-3 - entry, 2)
+        node = self.nodes[i]
         if node.succ is None:
-            graph.link(node)
-        if node.kind == _MEDIUM:
-            dropped = d > 0.0 and rng.random() < d
-            nxt = node.drop if dropped else node.succ[0]
-            idle = 0 if chance else idle + 1
+            self.graph.link(node)
+        if dropped:
+            self.drop[i] = target = self._resolve(node.drop)
         else:
-            dropped, nxt = False, node.succ[0]
-            idle += 1
-        if idle > len(graph.nodes):
-            raise _cycle("repeats with no random medium outcome in between")
-        if path is not None:
-            path.append((node, dropped))
-        node = nxt
-    return node
+            self.deliver[i] = target = self._resolve(node.succ[0])
+        if target >= 0 and not self.cyclic:
+            self._order(i, target)
+        return target
+
+    def _order(self, i: int, target: int) -> None:
+        # Raise ranks along filled entries from target until rank[target] >
+        # rank[i] holds again; reaching i means the new entry closed a cycle.
+        rank, stack = self.rank, [(target, self.rank[i] + 1)]
+        while stack:
+            j, r = stack.pop()
+            if rank[j] >= r:
+                continue
+            if j == i:
+                self.cyclic = True
+                return
+            rank[j] = r
+            stack.extend((t, r + 1) for t in (self.deliver[j], self.drop[j]) if t >= 0)
+
+    def _check_leaves(self, i: int) -> None:
+        # Raise unless outcomes of positive probability lead from i to an end.
+        if i in self.leaves:
+            return
+        d = self.graph.drop_prob
+        tables = ([self.deliver] if d < 1.0 else []) + ([self.drop] if d > 0.0 else [])
+        seen, stack = {i}, [i]
+        while stack:
+            j = stack.pop()
+            for table in tables:
+                target = table[j] if table[j] >= _END_FAILURE else self._fill(table[j])
+                if target < 0:
+                    self.leaves.add(i)
+                    return
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+        if 0.0 < d < 1.0:
+            raise _cycle("repeats, and no random medium outcome leaves its loop")
+        raise _cycle("repeats with no random medium outcome in between")
 
 
-def _trace(graph: _Graph, run: int, path: list, end: _Node) -> dict:
+def _trace(graph: _Graph, run: int, decisions: list, success: bool) -> dict:
     """The record of a walked run: its deduced sequence, rebuilt by expanding
-    each decision of path and the single successors up to the next node."""
+    from the initial config, taking the next of decisions (dropped or not) at
+    each medium config and the first successor elsewhere, up to the end."""
     engine, rho, cfg = graph.engine, [], graph.engine.initial()
-    decisions = [None] + [dropped for _, dropped in path]
-    for dropped, target in zip(decisions, [node for node, _ in path] + [end]):
-        while dropped is not None or cfg != target.cfg:
-            shape = engine.expand(cfg)
-            s = (shape[2] if dropped else shape[1][0]) if shape[0] == "medium" else shape[1][0]
-            dropped = None
-            if s.kind != "free":
-                rho.pop()  # the broadcast is delivered, dropped or discarded
-            rho.extend(s.items)
-            if s.cfg is _DEAD:
-                break
-            cfg = s.cfg
+    decisions = iter(decisions)
+    while not engine.is_success(cfg):
+        shape = engine.expand(cfg)
+        if shape[0] == "medium":
+            s = shape[2] if next(decisions) else shape[1][0]
+        elif shape[1]:
+            s = shape[1][0]
+        else:
+            break  # stuck
+        if s.kind != "free":
+            rho.pop()  # the broadcast is delivered, dropped or discarded
+        rho.extend(s.items)
+        if s.cfg is _DEAD:
+            break
+        cfg = s.cfg
     return {
         "run": run,
-        "outcome": _SUCCESS if end.kind == _SUCCESS else _FAILURE,
+        "outcome": _SUCCESS if success else _FAILURE,
         "rho": [str(item) for item in rho],
         "final_states": {m.owner: m.state_names[cfg[0][x][0]]
                          for x, m in enumerate(engine.machines)},

@@ -179,6 +179,33 @@ def medium_loop_csas() -> list:
     return [sender, receiver]
 
 
+def no_exit_loop_csas() -> list:
+    """Hand-written CSAs whose medium loop has no exit: A rebroadcasts after
+    every copy, and B counts deliveries without ever answering, so no medium
+    outcome ends a run."""
+    a = Message("a", "A", "B")
+    sender = Csa(
+        owner="A",
+        states=("s0", "s1", "s2"),
+        vars=("mu", "nu"),
+        init="s0",
+        finals=frozenset({"s2"}),
+        transitions={
+            ("s0", EnvEvent(LocalEvent("e0", "B", None, "env"))): "s1",
+            ("s1", BroadcastCond(a, Condition("mu", "<=", 0))): "s2",
+            ("s2", TimeoutUpd("nu")): "s1",
+        },
+    )
+    receiver = Csa(
+        owner="B",
+        states=("r0",),
+        vars=("k",),
+        init="r0",
+        finals=frozenset({"r0"}),
+        transitions={("r0", RecvUpd(a, "k")): "r0"},
+    )
+    return [sender, receiver]
+
 def random_dialogue(rng: random.Random, cars=("A", "B"), max_events=10):
     """A random well-posed specification: strict turn-taking, paths >= 2 events."""
     counter = [0]

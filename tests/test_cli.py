@@ -11,7 +11,7 @@ import protoforge
 from protoforge import events_of, export_json, parse_spec, synthesize_for_car
 from protoforge.cli import build_parser, main
 from protoforge.speclang import MAX_NESTING
-from conftest import EXAMPLE_TEXT, timeout_loop_csas
+from conftest import EXAMPLE_TEXT, no_exit_loop_csas, timeout_loop_csas
 
 HARD_TEXT = "delta 0.35; cars A B; snd A->B(d) . (ack B->A : 0.9 | nack B->A : 0.9)"
 
@@ -181,6 +181,24 @@ def test_verify_reports_a_cycle(tmp_path, capsys):
                    "decision in between\n")
 
 
+def test_simulate_reports_a_loop_without_exit(tmp_path):
+    # In a subprocess with a timeout, so that a regression fails instead of
+    # hanging the suite.
+    spec = tmp_path / "loop.psl"
+    spec.write_text("delta 0.5; cars A B; e0 A->B . e1 B->A : 0.5\n")
+    paths = write_csas(tmp_path, no_exit_loop_csas())
+    src_root = os.path.dirname(os.path.dirname(protoforge.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "protoforge", "simulate", *paths, "--spec", str(spec),
+         "--runs", "1"],
+        capture_output=True, text=True, timeout=60,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_root},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: deduction cycle: ")
+    assert "cycle" in proc.stderr
+
+
 @pytest.mark.parametrize("body, column", [
     ("(" * 5000 + "e A->B . f B->A : 0.5" + ")" * 5000, 22 + MAX_NESTING),
     (" . ".join(f"e{i} {'A->B' if i % 2 == 0 else 'B->A'}" for i in range(3000)) + " : 0.5",
@@ -283,6 +301,33 @@ def test_simulate_traces_require_out(spec_file, synth_dir, capsys):
     assert code == 2
     assert out == ""
     assert err == "--traces requires --out\n"
+
+
+def test_simulate_out_requires_traces(tmp_path, spec_file, synth_dir, capsys):
+    out_dir = tmp_path / "traces"
+    code, out, err = run(capsys, [
+        "simulate", str(synth_dir / "A.json"), str(synth_dir / "B.json"),
+        "--spec", str(spec_file), "--runs", "5", "--seed", "0", "--out", str(out_dir),
+    ])
+    assert code == 2
+    assert out == ""
+    assert err == "--out requires --traces\n"
+    assert not out_dir.exists()
+
+
+def test_simulate_out_on_a_file_prints_nothing(tmp_path, spec_file, synth_dir, capsys):
+    # The directory is made before any output, so a clash leaves stdout empty.
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    code, out, err = run(capsys, [
+        "simulate", str(synth_dir / "A.json"), str(synth_dir / "B.json"),
+        "--spec", str(spec_file), "--runs", "5", "--seed", "0",
+        "--traces", "--out", str(taken),
+    ])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_feasible_csv(tmp_path, capsys):

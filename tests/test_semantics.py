@@ -28,7 +28,13 @@ from protoforge import (
 )
 from protoforge.semantics import BroadcastItem, EnvItem, RecvItem, SysItem, TimeoutItem
 from protoforge.speclang import GlobalEvent, events_of
-from conftest import medium_loop_csas, reference_receiver, reference_sender, timeout_loop_csas
+from conftest import (
+    medium_loop_csas,
+    no_exit_loop_csas,
+    reference_receiver,
+    reference_sender,
+    timeout_loop_csas,
+)
 
 # Exact synchronization probability of snd.ack with bounds (3, 1) at drop
 # probability 0.35, pinned by the exhaustive deduction below and equal to the
@@ -368,6 +374,19 @@ def test_retry_loop_through_the_medium():
     # When every copy is lost the walk can only go round.
     with pytest.raises(DivergenceDetected, match="cycle"):
         run_monte_carlo(csas, 1.0, E0, runs=1, seed=4)
+
+
+@pytest.mark.parametrize("drop_prob", [0.0, 0.5, 0.9, 1.0])
+def test_medium_loop_without_exit_is_reported_as_a_cycle(drop_prob):
+    # Every outcome of the medium leads back into the loop, so no run ends:
+    # exact exploration and sampled runs both report the cycle.
+    csas = no_exit_loop_csas()
+    sigma = E0 + (GlobalEvent("e1", "B", "A"),)
+    with pytest.raises(DivergenceDetected, match="cycle"):
+        explore_sync(csas, drop_prob, sigma)
+    for traced in (False, True):
+        with pytest.raises(DivergenceDetected, match="cycle"):
+            run_monte_carlo(csas, drop_prob, sigma, runs=1, seed=0, collect_traces=traced)
 
 
 # ---------------------------------------------------------------------------

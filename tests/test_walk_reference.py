@@ -1,0 +1,99 @@
+"""Monte Carlo against a plain reference walk.
+
+`run_monte_carlo` walks next-medium-node tables and rebuilds traces
+afterwards.  The reference here steps the raw execution engine one
+configuration at a time, draws one number at every medium decision and
+builds the deduced sequence as it goes, the way the global rules read.
+Both must give the same outcome, deduced sequence and final states for every
+run of every seed.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from protoforge import enumerate_sequences, parse_spec, run_monte_carlo, synthesize_for_car
+from protoforge.semantics import _DEAD, _Engine
+from protoforge.speclang import GlobalEvent, events_of
+from conftest import medium_loop_csas
+
+# The three `simulate` specifications of the benchmark, with its fixed bounds.
+BENCH_SPECS = (
+    ("delta 0.35; cars A B; snd A->B(d) . (ack B->A : 0.7 | nack B->A : 0.8)", (3, 1, 2)),
+    ("delta 0.4; cars A B; a A->B(d) . b B->A : 0.6 | c B->A . d A->B : 0.5", (2, 1, 1, 1)),
+    ("delta 0.5; cars A B; e0 A->B . e1 B->A . e2 A->B . e3 B->A . e4 A->B : 0.51",
+     (4, 4, 5, 4, 2)),
+)
+MAX_STEPS = 100_000  # configurations per reference run
+
+
+def _cases():
+    cases = []
+    for text, bounds in BENCH_SPECS:
+        full = parse_spec(text)
+        by_event = dict(zip(events_of(full.protocol), bounds))
+        csas = [synthesize_for_car(full.protocol, car, by_event) for car in full.cars]
+        cases.extend((csas, pseq.events) for pseq in enumerate_sequences(full.protocol))
+    return cases
+
+
+CASES = _cases()
+
+
+def reference_runs(csas, drop_prob, sigma, runs, seed):
+    """(outcome, rho, final_states) per run, one configuration per step."""
+    engine = _Engine(csas, sigma)
+    rng = random.Random(str(seed))
+    out = []
+    for _ in range(runs):
+        cfg, rho, outcome = engine.initial(), [], "failure"
+        for _ in range(MAX_STEPS):
+            if engine.is_success(cfg):
+                outcome = "success"
+                break
+            shape = engine.expand(cfg)
+            if shape[0] == "medium":
+                dropped = drop_prob > 0.0 and rng.random() < drop_prob
+                step = shape[2] if dropped else shape[1][0]
+            elif shape[1]:
+                step = shape[1][0]
+            else:
+                break  # stuck
+            rho = (rho if step.kind == "free" else rho[:-1]) + [str(i) for i in step.items]
+            if step.cfg is _DEAD:
+                break
+            cfg = step.cfg
+        else:
+            raise AssertionError(f"reference run longer than {MAX_STEPS} steps")
+        finals = {m.owner: m.state_names[cfg[0][x][0]] for x, m in enumerate(engine.machines)}
+        out.append((outcome, rho, finals))
+    return out
+
+
+def assert_agrees(csas, drop_prob, sigma, runs, seed):
+    expected = reference_runs(csas, drop_prob, sigma, runs, seed)
+    traced = run_monte_carlo(csas, drop_prob, sigma, runs=runs, seed=seed, collect_traces=True)
+    got = [(t["outcome"], t["rho"], t["final_states"]) for t in traced.traces]
+    assert got == expected
+    assert [t["run"] for t in traced.traces] == list(range(runs))
+    successes = sum(outcome == "success" for outcome, _, _ in expected)
+    assert traced.successes == successes
+    plain = run_monte_carlo(csas, drop_prob, sigma, runs=runs, seed=seed)
+    assert (plain.successes, plain.failures) == (successes, runs - successes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(range(len(CASES))),
+       drop_prob=st.sampled_from([0.0, 0.35, 0.5, 1.0]),
+       seed=st.integers(-10**6, 10**6),
+       runs=st.integers(1, 60))
+def test_walk_matches_reference_on_bench_specs(case, drop_prob, seed, runs):
+    csas, sigma = CASES[case]
+    assert_agrees(csas, drop_prob, sigma, runs, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(-10**6, 10**6), runs=st.integers(1, 60))
+def test_walk_matches_reference_on_a_retry_loop(seed, runs):
+    assert_agrees(medium_loop_csas(), 0.5, (GlobalEvent("e0", "A", "B"),), runs, seed)

@@ -206,6 +206,7 @@ def no_exit_loop_csas() -> list:
     )
     return [sender, receiver]
 
+
 def random_dialogue(rng: random.Random, cars=("A", "B"), max_events=10):
     """A random well-posed specification: strict turn-taking, paths >= 2 events."""
     counter = [0]

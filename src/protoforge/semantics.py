@@ -589,18 +589,15 @@ def run_monte_carlo(
     deterministic for a given seed and sigma, and prefix-stable: the first n
     runs and their traces are the same for any runs >= n.  Ties between
     enabled non-medium rules are resolved in a fixed order (synthesized CSAs
-    never have any).  At drop probability 0 or 1 every run takes the same
-    path, so it is walked once.  A run that can no longer end raises
-    DivergenceDetected.
+    never have any).  A run that can no longer end raises DivergenceDetected.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     graph = _Graph(csas, sigma, drop_prob)
     tables = _Tables(graph)
     rng = random.Random(str(seed))
-    chance = 0.0 < drop_prob < 1.0
     if not collect_traces:
-        successes = tables.walk(runs, rng.random) if chance else runs * tables.walk(1, rng.random)
+        successes = tables.walk(runs, rng.random)
         return MonteCarloResult(runs, successes, runs - successes, successes / runs)
 
     decisions: list = []  # the current run's medium outcomes, True for a drop
@@ -612,9 +609,8 @@ def run_monte_carlo(
 
     traces = []
     for k in range(runs):
-        if chance or k == 0:
-            decisions.clear()
-            success = tables.walk(1, draw)
+        decisions.clear()
+        success = tables.walk(1, draw)
         traces.append(_trace(graph, k, decisions, success))
     successes = sum(t["outcome"] == _SUCCESS for t in traces)
     return MonteCarloResult(runs, successes, runs - successes, successes / runs, traces)

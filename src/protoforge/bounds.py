@@ -8,14 +8,19 @@ closed form
               + rho^3/(1 - d*rho) * sum_{i=1..n1} d^i * (1 - (d*rho)^M),
     M = min(n1 + 1 - i, n2).
 
-Longer sequences evaluate by structural recursion over delivery phases: the
-first message is delivered after i of up to n1 drops; every later non-final
-message couples its retries to the previous loop's remaining budget (each of
-its drops also burns one timeout of the previous loop); the final message
-retries only when the peer's preceding message is re-delivered, giving the
-geometric tail rho * sum_{t<=min(a,b)} (d*rho)^t.  The recursion reproduces
-the two-event closed form exactly and is pinned against the exhaustive
-deduction semantics by tests.
+Longer sequences evaluate by one backward sweep over the suffixes of the
+bound vector.  The first message is delivered after i of up to n1 drops;
+every later non-final message couples its retries to the previous loop's
+remaining budget (each of its drops also burns one timeout of the previous
+loop); the final message retries only when the peer's preceding message is
+re-delivered, giving the geometric tail rho * sum_{t<=min(a,b)} (d*rho)^t.
+For each suffix, `_levels` lists its success probability for every budget
+a = 0..n of timeouts left in the loop before it, as a running sum: entry a
+adds to entry a - 1 the term for a delivery after a drops, read from the
+next suffix's levels.  A suffix thus costs one pass over its first bound,
+is memoised per (suffix, d), and P is the last entry of the whole vector's
+levels.  Its two-event value agrees with the closed form, and it is pinned
+against the exhaustive deduction semantics by tests.
 
 The bound optimization minimizes the total of all retransmission bounds
 subject to every sequence of the specification reaching its required
@@ -34,6 +39,7 @@ rho/(1 - d*rho) or as an infeasible all-cap vector.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
@@ -64,46 +70,40 @@ def sync_prob_two(n1: int, n2: int, drop_prob: float) -> float:
     return total
 
 
-def _retry_tail(a: int, b: int, d: float) -> float:
-    # rho * sum_{t=0..min(a,b)} (d*rho)^t: success of the final retry loop
-    # once its predecessor message has been delivered.
+@lru_cache(maxsize=1 << 16)
+def _levels(rest: tuple, d: float) -> array:
+    # Success probabilities of the remaining events once the previous message
+    # has been delivered, one per count a = 0..rest[0] of timeouts left in the
+    # previous loop (more than rest[0] left acts as rest[0]).  Entry a adds
+    # one term to entry a - 1: the next message delivered after a drops.
+    # Stored as packed doubles, a quarter of the memory of a tuple of floats:
+    # one level can hold up to cap + 1 entries.  Callers only read it.
     rho = 1.0 - d
+    out = array("d")
     acc = 0.0
-    term = rho
-    for _ in range(min(a, b) + 1):
-        acc += term
-        term *= d * rho
-    return acc
-
-
-@lru_cache(maxsize=1 << 20)
-def _phase(a: int, rest: tuple, d: float) -> float:
-    # Success probability of the remaining events once the previous message
-    # has been delivered, with `a` timeouts left in the previous loop.  The
-    # value depends on `a` only through min(a, rest[0]), so callers pass it
-    # clamped and equal values share one memo entry.
     if len(rest) == 1:
-        return _retry_tail(a, rest[0], d)
-    n_next = rest[0]
-    tail = rest[1:]
-    acc = 0.0
-    coeff = 1.0 - d
-    for j in range(min(a, n_next) + 1):
-        acc += coeff * _phase(min(n_next - j, tail[0]), tail, d)
+        # The final retry loop: rho * sum_{t<=a} (d*rho)^t.
+        term = rho
+        for _ in range(rest[0] + 1):
+            acc += term
+            out.append(acc)
+            term *= d * rho
+        return out
+    n, m = rest[0], rest[1]
+    below = _levels(rest[1:], d)
+    coeff = rho
+    for a in range(n + 1):
+        acc += coeff * below[min(n - a, m)]
+        out.append(acc)
         coeff *= d
-    return acc
+    return out
 
 
 @lru_cache(maxsize=1 << 16)
 def _sync_prob(bounds: tuple, d: float) -> float:
     if len(bounds) == 2:
         return sync_prob_two(bounds[0], bounds[1], d)
-    acc = 0.0
-    coeff = 1.0 - d
-    for i in range(bounds[0] + 1):
-        acc += coeff * _phase(min(bounds[0] - i, bounds[1]), bounds[1:], d)
-        coeff *= d
-    return acc
+    return _levels(bounds, d)[-1]
 
 
 def sync_prob(bounds: Sequence[int], drop_prob: float) -> float:

@@ -33,9 +33,6 @@ class Condition:
         if self.bound < 0:
             raise ValueError(f"condition bound must be nonnegative, got {self.bound}")
 
-    def holds(self, value: int) -> bool:
-        return value <= self.bound if self.op == "<=" else value > self.bound
-
     def __str__(self):
         return f"{self.var}{self.op}{self.bound}"
 

@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 
@@ -144,33 +145,47 @@ def test_solve_opt_cap_exhaustion_is_distinct():
     assert not result.proven
 
 
-def test_solve_opt_work_stays_small_on_a_four_event_chain():
-    # Counts memo lookups rather than time, so it holds on any machine.  A
-    # search anchored at the cap instead of a galloped bound makes 4.56M here.
+def _count_level_entries(monkeypatch):
+    # Level entries computed, summed over the levels `_levels` builds (not over
+    # its lookups), with both solver tables cold.  The recursion looks
+    # `_levels` up in the module, so the counting table sees every call.
     from protoforge import bounds
 
-    spec = parse_spec("delta 0.6; cars A B; e0 A->B . e1 B->A . e2 A->B . e3 B->A : 0.49")
-    bounds._phase.cache_clear()
+    compute = bounds._levels.__wrapped__
+    computed = []
+
+    @functools.lru_cache(maxsize=bounds._levels.cache_parameters()["maxsize"])
+    def counting(rest, d):
+        out = compute(rest, d)
+        computed.append(len(out))
+        return out
+
+    monkeypatch.setattr(bounds, "_levels", counting)
     bounds._sync_prob.cache_clear()
+    return computed
+
+
+def test_solve_opt_work_stays_small_on_a_four_event_chain(monkeypatch):
+    # Counts work rather than time, so it holds on any machine.  A search
+    # anchored at the cap instead of a galloped bound computes 35,017 level
+    # entries here, against 5,163.
+    spec = parse_spec("delta 0.6; cars A B; e0 A->B . e1 B->A . e2 A->B . e3 B->A : 0.49")
+    computed = _count_level_entries(monkeypatch)
     solved = solve_opt(spec.protocol, 0.6)
-    info = bounds._phase.cache_info()
     assert list(solved.values()) == [9, 8, 8, 3]
-    assert info.hits + info.misses < 200_000
+    assert sum(computed) < 15_000
 
 
-def test_solve_opt_returns_zeros_at_once_when_zeros_suffice():
+def test_solve_opt_returns_zeros_at_once_when_zeros_suffice(monkeypatch):
     # A 40-event chain that any bounds meet.  Searching for the optimum from
-    # a galloped anchor instead of trying the zero vector first makes 186,398
-    # _phase misses here.
-    from protoforge import bounds
-
+    # a galloped anchor instead of trying the zero vector first computes
+    # 196,097 level entries here, against 40.
     chain = " . ".join(f"e{i} {'A->B' if i % 2 == 0 else 'B->A'}" for i in range(40))
     spec = parse_spec(f"delta 0.3; cars A B; {chain} : 0.0")
-    bounds._phase.cache_clear()
-    bounds._sync_prob.cache_clear()
+    computed = _count_level_entries(monkeypatch)
     solved = solve_opt(spec.protocol, 0.3)
     assert list(solved.values()) == [0] * 40
-    assert bounds._phase.cache_info().misses < 1_000
+    assert sum(computed) < 1_000
 
 
 def test_solve_opt_rejects_ill_posed():

@@ -135,6 +135,12 @@ class Csa:
     transitions: dict[tuple[StateId, TransitionLabel], StateId]
 
 
+def ordered_transitions(csa: Csa) -> list:
+    """The ((src, label), dst) pairs of csa, by source state and label text:
+    the one order that files, drawings and the execution engine list them in."""
+    return sorted(csa.transitions.items(), key=lambda kv: (kv[0][0], str(kv[0][1])))
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -411,9 +417,7 @@ def export_json(csa: Csa) -> str:
         "vars": list(csa.vars),
         "transitions": [
             {"from": src, "to": dst, "label": _label_to_json(label)}
-            for (src, label), dst in sorted(
-                csa.transitions.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
-            )
+            for (src, label), dst in ordered_transitions(csa)
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
@@ -487,7 +491,7 @@ def export_dot(csa: Csa) -> str:
         if s in csa.finals:
             attrs.append("style=dotted")
         lines.append(f"  {q(s)}{' [' + ', '.join(attrs) + ']' if attrs else ''};")
-    for (src, label), dst in sorted(csa.transitions.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
+    for (src, label), dst in ordered_transitions(csa):
         lines.append(f"  {q(src)} -> {q(dst)} [label={q(label_text(label))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

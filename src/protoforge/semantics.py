@@ -22,8 +22,8 @@ All these rules are implemented once, in `_Engine`.  `_Graph` builds from it
 one lazily compiled deduction graph per (CSAs, sigma), with dead counters
 zeroed and runs of single successors collapsed, and three consumers use it:
 `explore_sync` evaluates it backward, `run_monte_carlo` walks int-indexed
-tables of its next medium nodes, and traced runs re-expand only the edges
-walked.  `global_steps` steps the engine alone.
+tables of its next medium nodes, built whole and checked to end, and traced
+runs re-expand only the edges walked.  `global_steps` steps the engine alone.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .csa import (
     SysCond,
     TimeoutSys,
     TimeoutUpd,
+    ordered_transitions,
 )
 from .errors import DivergenceDetected
 from .speclang import GlobalEvent, PSequence, SpecNode, enumerate_sequences, satisfies
@@ -197,8 +198,7 @@ class _Machine:
         def sys_item(e):
             return SysItem(owner, e.name, e.peer, e.data, e.special)
 
-        for (src, label), dst in sorted(csa.transitions.items(),
-                                        key=lambda kv: (kv[0][0], str(kv[0][1]))):
+        for (src, label), dst in ordered_transitions(csa):
             s, d = self.state_idx[src], self.state_idx[dst]
             succ[s].add(d)
             if isinstance(label, EnvEvent):
@@ -589,7 +589,8 @@ def run_monte_carlo(
     deterministic for a given seed and sigma, and prefix-stable: the first n
     runs and their traces are the same for any runs >= n.  Ties between
     enabled non-medium rules are resolved in a fixed order (synthesized CSAs
-    never have any).  A run that can no longer end raises DivergenceDetected.
+    never have any).  DivergenceDetected is raised before the first run when a
+    run can reach, at positive probability, a loop it can never leave.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
@@ -622,60 +623,45 @@ _END_SUCCESS, _END_FAILURE = -1, -2  # walk-table entries for the end of a run
 class _Tables:
     """Next-medium-node tables over a deduction graph, for sampled runs.
 
-    Index i names the i-th medium node met.  deliver[i] and drop[i] give the
-    index of the medium node a run reaches next after that outcome, following
-    free nodes along their first successor, or _END_SUCCESS / _END_FAILURE at
-    an end.  An entry not needed yet holds -3 - 2i (deliver) or -4 - 2i (drop)
-    and is filled, and its node linked, on first use.
+    Index i names the i-th medium node reached from the root.  deliver[i] and
+    drop[i] give the index of the medium node a run reaches next after that
+    outcome, following free nodes along their first successor, or
+    _END_SUCCESS / _END_FAILURE at an end.  An outcome of probability 0 holds
+    _END_FAILURE and is never read.
 
-    While the filled entries form no cycle, a run cannot go round and the
-    walk needs no step bound.  rank keeps rank[t] > rank[i] along every
-    filled entry i -> t; a rank increase that comes back to i marks the
-    tables cyclic, and from then on each walk is bounded and checked.
+    Every index can reach an end through outcomes of positive probability, or
+    the build raises DivergenceDetected.  A walk is then absorbed with
+    probability 1 (the tables are a finite absorbing Markov chain), so it
+    needs no step bound.
     """
 
     def __init__(self, graph: _Graph):
         self.graph = graph
         self.index: dict = {}  # medium node -> index
         self.nodes: list = []
+        self.root = self._resolve(graph.root)
+        d = graph.drop_prob
         self.deliver: list = []
         self.drop: list = []
-        self.rank: list = []
-        self.cyclic = False
-        self.leaves: set = set()  # indices from which an end is known to be reachable
-        self.root = self._resolve(graph.root)
+        for node in self.nodes:  # _resolve appends the nodes met along the way
+            if node.succ is None:
+                graph.link(node)
+            self.deliver.append(self._resolve(node.succ[0]) if d < 1.0 else _END_FAILURE)
+            self.drop.append(self._resolve(node.drop) if d > 0.0 else _END_FAILURE)
+        self._check_ends()
 
     def walk(self, runs: int, draw) -> int:
         """Walk runs from the root and return how many succeed.  Each
         medium decision calls draw() once and drops the message when the
         result is below the drop probability."""
         d, deliver, drop, root = self.graph.drop_prob, self.deliver, self.drop, self.root
-        cyclic = self.cyclic
         successes = 0
         for _ in range(runs):
             i = root
             while i >= 0:
-                if cyclic:
-                    i = self._walk_bounded(i, draw)
-                else:
-                    while i >= 0:
-                        i = drop[i] if draw() < d else deliver[i]
-                if i < _END_FAILURE:
-                    i = self._fill(i)
-                    cyclic = self.cyclic
+                i = drop[i] if draw() < d else deliver[i]
             successes += i == _END_SUCCESS
         return successes
-
-    def _walk_bounded(self, i: int, draw) -> int:
-        # At most as many decisions as the graph has configs, then a check
-        # that the run can still end.
-        d, deliver, drop = self.graph.drop_prob, self.deliver, self.drop
-        for _ in range(len(self.graph.nodes)):
-            i = drop[i] if draw() < d else deliver[i]
-            if i < 0:
-                return i
-        self._check_leaves(i)
-        return i
 
     def _resolve(self, node: _Node) -> int:
         # The index of node, or of the medium node or end its free nodes lead to.
@@ -693,55 +679,29 @@ class _Tables:
         if i is None:
             i = self.index[node] = len(self.nodes)
             self.nodes.append(node)
-            self.deliver.append(-3 - 2 * i)
-            self.drop.append(-4 - 2 * i)
-            self.rank.append(0)
         return i
 
-    def _fill(self, entry: int) -> int:
-        i, dropped = divmod(-3 - entry, 2)
-        node = self.nodes[i]
-        if node.succ is None:
-            self.graph.link(node)
-        if dropped:
-            self.drop[i] = target = self._resolve(node.drop)
-        else:
-            self.deliver[i] = target = self._resolve(node.succ[0])
-        if target >= 0 and not self.cyclic:
-            self._order(i, target)
-        return target
-
-    def _order(self, i: int, target: int) -> None:
-        # Raise ranks along filled entries from target until rank[target] >
-        # rank[i] holds again; reaching i means the new entry closed a cycle.
-        rank, stack = self.rank, [(target, self.rank[i] + 1)]
-        while stack:
-            j, r = stack.pop()
-            if rank[j] >= r:
-                continue
-            if j == i:
-                self.cyclic = True
-                return
-            rank[j] = r
-            stack.extend((t, r + 1) for t in (self.deliver[j], self.drop[j]) if t >= 0)
-
-    def _check_leaves(self, i: int) -> None:
-        # Raise unless outcomes of positive probability lead from i to an end.
-        if i in self.leaves:
-            return
+    def _check_ends(self) -> None:
+        # Raise unless every index reaches an end through outcomes of
+        # positive probability: search backward from the entries that end.
         d = self.graph.drop_prob
         tables = ([self.deliver] if d < 1.0 else []) + ([self.drop] if d > 0.0 else [])
-        seen, stack = {i}, [i]
+        into: list = [[] for _ in self.nodes]
+        ending = set()
+        for table in tables:
+            for i, t in enumerate(table):
+                if t < 0:
+                    ending.add(i)
+                else:
+                    into[t].append(i)
+        stack = list(ending)
         while stack:
-            j = stack.pop()
-            for table in tables:
-                target = table[j] if table[j] >= _END_FAILURE else self._fill(table[j])
-                if target < 0:
-                    self.leaves.add(i)
-                    return
-                if target not in seen:
-                    seen.add(target)
-                    stack.append(target)
+            for i in into[stack.pop()]:
+                if i not in ending:
+                    ending.add(i)
+                    stack.append(i)
+        if len(ending) == len(self.nodes):
+            return
         if 0.0 < d < 1.0:
             raise _cycle("repeats, and no random medium outcome leaves its loop")
         raise _cycle("repeats with no random medium outcome in between")

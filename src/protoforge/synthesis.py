@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from .bounds import Infeasible, solve_opt
 from .csa import (
     BroadcastCond,
     Condition,
@@ -181,11 +182,6 @@ class SynthesisResult:
 def synthesize_all(full: FullSpec, cap: int = 512) -> SynthesisResult:
     """Check well-posedness, solve for minimal retransmission bounds, and
     synthesize a CSA for every car in the specification's car set."""
-    from .bounds import Infeasible, solve_opt
-
-    report = well_posed(full.protocol)
-    if not report.ok:
-        raise NotWellPosed(report)
     solved = solve_opt(full.protocol, full.delta, cap=cap)
     if isinstance(solved, Infeasible):
         raise Unrealizable(str(solved))

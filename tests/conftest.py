@@ -207,6 +207,40 @@ def no_exit_loop_csas() -> list:
     return [sender, receiver]
 
 
+def trap_loop_csas() -> list:
+    """Hand-written CSAs with a medium loop that only a lost copy leads into:
+    a delivered first copy of a ends the run, while after a drop A sends b
+    for ever and B counts every copy of b without answering."""
+    a, b = Message("a", "A", "B"), Message("b", "A", "B")
+    sender = Csa(
+        owner="A",
+        states=("s0", "s1", "s2", "s3", "s4"),
+        vars=("mu", "nu"),
+        init="s0",
+        finals=frozenset({"s2"}),
+        transitions={
+            ("s0", EnvEvent(LocalEvent("e0", "B", None, "env"))): "s1",
+            ("s1", BroadcastCond(a, Condition("mu", "<=", 0))): "s2",
+            ("s2", TimeoutUpd("nu")): "s3",
+            ("s3", BroadcastCond(b, Condition("mu", "<=", 0))): "s4",
+            ("s4", TimeoutUpd("nu")): "s3",
+        },
+    )
+    receiver = Csa(
+        owner="B",
+        states=("r0", "r1"),
+        vars=("k",),
+        init="r0",
+        finals=frozenset({"r1"}),
+        transitions={
+            ("r0", RecvSys(a, LocalEvent("e0", "A", None, "sys"))): "r1",
+            ("r0", RecvUpd(b, "k")): "r0",
+            ("r1", RecvUpd(b, "k")): "r1",
+        },
+    )
+    return [sender, receiver]
+
+
 def random_dialogue(rng: random.Random, cars=("A", "B"), max_events=10):
     """A random well-posed specification: strict turn-taking, paths >= 2 events."""
     counter = [0]

@@ -11,7 +11,7 @@ import protoforge
 from protoforge import events_of, export_json, parse_spec, synthesize_for_car
 from protoforge.cli import build_parser, main
 from protoforge.speclang import MAX_NESTING
-from conftest import EXAMPLE_TEXT, no_exit_loop_csas, timeout_loop_csas
+from conftest import EXAMPLE_TEXT, no_exit_loop_csas, timeout_loop_csas, trap_loop_csas
 
 HARD_TEXT = "delta 0.35; cars A B; snd A->B(d) . (ack B->A : 0.9 | nack B->A : 0.9)"
 
@@ -197,6 +197,18 @@ def test_simulate_reports_a_loop_without_exit(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: deduction cycle: ")
     assert "cycle" in proc.stderr
+
+
+def test_simulate_reports_a_loop_behind_a_drop_for_few_runs(tmp_path, capsys):
+    # Ten runs at drop probability 0.01 rarely lose the copy that leads into
+    # the loop; the loop is reported all the same.
+    spec = tmp_path / "trap.psl"
+    spec.write_text("delta 0.01; cars A B; e0 A->B : 0.5\n")
+    paths = write_csas(tmp_path, trap_loop_csas())
+    code, _, err = run(capsys, ["simulate", *paths, "--spec", str(spec), "--runs", "10"])
+    assert code == 3
+    assert err == ("error: deduction cycle: a configuration repeats, and no random medium "
+                   "outcome leaves its loop\n")
 
 
 @pytest.mark.parametrize("body, column", [

@@ -1,5 +1,5 @@
 """Property-based fuzzing of the two front ends: CSA files through `verify`
-and `.psl` descriptions through `check`.
+and `simulate`, and `.psl` descriptions through `check`.
 
 Every input must end in one of the documented exit codes (0/1/2/3) and never
 in an exception; malformed input (exit 2) must leave stdout empty.
@@ -83,11 +83,13 @@ def test_verify_on_arbitrary_csa_files_ends_in_an_exit_code(tmp_path, monkeypatc
         path = tmp_path / f"csa{i}.json"
         path.write_text(json.dumps(doc))
         paths.append(str(path))
-    code = main(["verify", *paths, "--spec", str(spec)])
-    out = capsys.readouterr().out
-    assert code in (0, 1, 2, 3)
-    if code == 2:
-        assert out == ""
+    for argv in (["verify"], ["simulate", "--runs", "5"],
+                 ["simulate", "--runs", "5", "--traces", "--out", str(tmp_path / "traces")]):
+        code = main([*argv, *paths, "--spec", str(spec)])
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert out == ""
 
 
 # .psl text: mostly grammatical descriptions of up to six events, some nested

@@ -34,6 +34,7 @@ from conftest import (
     reference_receiver,
     reference_sender,
     timeout_loop_csas,
+    trap_loop_csas,
 )
 
 # Exact synchronization probability of snd.ack with bounds (3, 1) at drop
@@ -387,6 +388,17 @@ def test_medium_loop_without_exit_is_reported_as_a_cycle(drop_prob):
     for traced in (False, True):
         with pytest.raises(DivergenceDetected, match="cycle"):
             run_monte_carlo(csas, drop_prob, sigma, runs=1, seed=0, collect_traces=traced)
+
+
+@pytest.mark.parametrize("drop_prob", [0.01, 0.5])
+@pytest.mark.parametrize("runs", [1, 10, 1000])
+def test_loop_behind_a_drop_is_reported_whatever_the_sample(drop_prob, runs):
+    # Only a lost first copy leads into the loop, so at drop probability 0.01
+    # a few runs rarely enter it; the verdict must not depend on how many.
+    csas = trap_loop_csas()
+    for traced in (False, True):
+        with pytest.raises(DivergenceDetected, match="no random medium outcome leaves its loop"):
+            run_monte_carlo(csas, drop_prob, E0, runs=runs, seed=0, collect_traces=traced)
 
 
 # ---------------------------------------------------------------------------

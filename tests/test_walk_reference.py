@@ -6,15 +6,24 @@ configuration at a time, draws one number at every medium decision and
 builds the deduced sequence as it goes, the way the global rules read.
 Both must give the same outcome, deduced sequence and final states for every
 run of every seed.
+Building the tables must also explore no more configurations than the exact
+check does.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protoforge import enumerate_sequences, parse_spec, run_monte_carlo, synthesize_for_car
-from protoforge.semantics import _DEAD, _Engine
+from protoforge import (
+    enumerate_sequences,
+    explore_sync,
+    parse_spec,
+    run_monte_carlo,
+    synthesize_for_car,
+)
+from protoforge.semantics import _DEAD, _Engine, _Graph, _Tables
 from protoforge.speclang import GlobalEvent, events_of
 from conftest import medium_loop_csas
 
@@ -28,12 +37,16 @@ BENCH_SPECS = (
 MAX_STEPS = 100_000  # configurations per reference run
 
 
+def _synthesize(text, bounds):
+    full = parse_spec(text)
+    by_event = dict(zip(events_of(full.protocol), bounds))
+    return full, [synthesize_for_car(full.protocol, car, by_event) for car in full.cars]
+
+
 def _cases():
     cases = []
     for text, bounds in BENCH_SPECS:
-        full = parse_spec(text)
-        by_event = dict(zip(events_of(full.protocol), bounds))
-        csas = [synthesize_for_car(full.protocol, car, by_event) for car in full.cars]
+        full, csas = _synthesize(text, bounds)
         cases.extend((csas, pseq.events) for pseq in enumerate_sequences(full.protocol))
     return cases
 
@@ -97,3 +110,21 @@ def test_walk_matches_reference_on_bench_specs(case, drop_prob, seed, runs):
 @given(seed=st.integers(-10**6, 10**6), runs=st.integers(1, 60))
 def test_walk_matches_reference_on_a_retry_loop(seed, runs):
     assert_agrees(medium_loop_csas(), 0.5, (GlobalEvent("e0", "A", "B"),), runs, seed)
+
+
+CHAIN8 = ("delta 0.6; cars A B; "
+          + " . ".join(f"e{i} {'A->B' if i % 2 == 0 else 'B->A'}" for i in range(8)) + " : 0.5",
+          (11, 11, 12, 12, 12, 12, 9, 4))
+
+
+@pytest.mark.parametrize("text, bounds", BENCH_SPECS + (CHAIN8,))
+def test_tables_build_no_more_of_the_graph_than_the_exact_check(text, bounds):
+    # The tables are built whole before the first run; they follow one
+    # successor of each free node, so they never need more configs than
+    # exact exploration, which follows all of them.
+    full, csas = _synthesize(text, bounds)
+    for pseq in enumerate_sequences(full.protocol):
+        graph = _Graph(csas, pseq.events, full.delta)
+        _Tables(graph)
+        exact = explore_sync(csas, full.delta, pseq.events)
+        assert len(graph.nodes) <= exact.configs_processed

@@ -124,8 +124,8 @@ def cmd_verify(args) -> int:
     for chk in report.checks:
         names = ".".join(e.name for e in chk.events)
         verdict = "ok" if chk.satisfied else "VIOLATED"
-        print(f"  {names}: required {chk.required!r}, achieved {chk.achieved!r}, "
-              f"margin {chk.margin!r} [{verdict}]")
+        print(f"  {names}: required {chk.required!r}, achieved {float(chk.achieved)!r}, "
+              f"margin {float(chk.margin)!r} [{verdict}]")
     print(f"verdict: {'pass' if report.ok else 'fail'}")
     return EXIT_OK if report.ok else EXIT_FAIL
 

@@ -21,9 +21,10 @@ env transitions with timeouts or receptions, so rule selection is unaffected).
 All these rules are implemented once, in `_Engine`.  `_Graph` builds from it
 one lazily compiled deduction graph per (CSAs, sigma), with dead counters
 zeroed and runs of single successors collapsed, and three consumers use it:
-`explore_sync` evaluates it backward, `run_monte_carlo` walks int-indexed
-tables of its next medium nodes, built whole and checked to end, and traced
-runs re-expand only the edges walked.  `global_steps` steps the engine alone.
+`explore_sync` evaluates it backward in exact decimals, `run_monte_carlo`
+walks int-indexed tables of its next medium nodes, built whole and checked to
+end, and traced runs re-expand only the edges walked.  `global_steps` steps
+the engine alone.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
+from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .csa import (
@@ -48,7 +51,7 @@ from .csa import (
     ordered_transitions,
 )
 from .errors import DivergenceDetected
-from .speclang import GlobalEvent, PSequence, SpecNode, enumerate_sequences, satisfies
+from .speclang import GlobalEvent, SpecNode, enumerate_sequences
 
 DEFAULT_BUDGET = 10_000_000  # distinct configs; PROTOFORGE_BUDGET overrides it
 
@@ -384,7 +387,7 @@ class _Node:
         self.cfg, self.kind, self.raw, self.drop = cfg, kind, raw, None
         terminal = kind == _SUCCESS or kind == _FAILURE
         self.succ = () if terminal else None
-        self.value = ((1.0, 0.0) if kind == _SUCCESS else (0.0, 1.0)) if terminal else None
+        self.value = ((1, 0) if kind == _SUCCESS else (0, 1)) if terminal else None
 
 
 _DEAD_NODE = _Node(_DEAD, _FAILURE)
@@ -464,15 +467,20 @@ class _Graph:
 # ---------------------------------------------------------------------------
 # Exact exploration
 
+# Sums and products of finite decimals never round in this context.  A float
+# is read as its shortest decimal, repr(x): for a decimal of up to 15
+# significant digits, that is the text it was parsed from.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
 
 @dataclass
 class ExplorationResult:
-    probability: float
+    probability: Fraction  # exact, at the decimal of drop_prob
     configs_processed: int  # distinct configs, dead counters zeroed
     scheduler_branching: bool
-    # |success + failure - 1|; meaningful only without scheduler branching,
-    # where each deduction carries its own mass.
-    conservation_error: float
+    # |success + failure - 1|, exact; 0 without scheduler branching, where
+    # each deduction carries its own mass.
+    conservation_error: Fraction
 
 
 def explore_sync(
@@ -482,43 +490,46 @@ def explore_sync(
     budget: Optional[int] = None,
     start_priority: Optional[str] = None,
 ) -> ExplorationResult:
-    """Sum the probabilities of all deductions that synchronize sigma.
+    """Sum the probabilities of all deductions that synchronize sigma, exactly.
 
     A backward pass over the deduction graph: a config in which every
     participating CSA rests in a final state and the projection equals sigma
     is worth 1, a stuck one 0, a medium node (1 - drop_prob) times the sum
     over its deliveries plus drop_prob times its drop, a free node the sum
     over its successors.  Failure mass is summed alongside; a cycle raises
-    DivergenceDetected.
+    DivergenceDetected.  The pass runs in _EXACT on the decimal of drop_prob.
     """
     graph = _Graph(csas, sigma, drop_prob, budget, start_priority)
-    stack = [graph.root]
-    while stack:
-        node = stack[-1]
-        if node.value is None:
-            node.value = _OPEN
-            graph.link(node)
-            for child in node.succ if node.drop is None else node.succ + (node.drop,):
-                if child.value is None:
-                    stack.append(child)
-                elif child.value is _OPEN:
-                    raise _cycle("is reachable from itself; exact exploration needs an "
-                                 "acyclic deduction graph")
-            continue
-        if node.value is _OPEN:
-            success = sum(child.value[0] for child in node.succ)
-            failure = sum(child.value[1] for child in node.succ)
-            if node.kind == _MEDIUM:
-                success *= 1.0 - drop_prob
-                failure *= 1.0 - drop_prob
-                if node.drop is not None:
-                    success += drop_prob * node.drop.value[0]
-                    failure += drop_prob * node.drop.value[1]
-            node.value = (success, failure)
-        stack.pop()
-    success, failure = graph.root.value
-    return ExplorationResult(success, len(graph.nodes), graph.branching,
-                             abs(success + failure - 1.0))
+    d = Decimal(repr(drop_prob))
+    with localcontext(_EXACT):
+        rho = 1 - d
+        stack = [graph.root]
+        while stack:
+            node = stack[-1]
+            if node.value is None:
+                node.value = _OPEN
+                graph.link(node)
+                for child in node.succ if node.drop is None else node.succ + (node.drop,):
+                    if child.value is None:
+                        stack.append(child)
+                    elif child.value is _OPEN:
+                        raise _cycle("is reachable from itself; exact exploration needs an "
+                                     "acyclic deduction graph")
+                continue
+            if node.value is _OPEN:
+                success = sum(child.value[0] for child in node.succ)
+                failure = sum(child.value[1] for child in node.succ)
+                if node.kind == _MEDIUM:
+                    success *= rho
+                    failure *= rho
+                    if node.drop is not None:
+                        success += d * node.drop.value[0]
+                        failure += d * node.drop.value[1]
+                node.value = (success, failure)
+            stack.pop()
+        success, failure = graph.root.value
+        return ExplorationResult(Fraction(success), len(graph.nodes), graph.branching,
+                                 Fraction(abs(success + failure - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -528,13 +539,16 @@ def explore_sync(
 @dataclass(frozen=True)
 class SequenceCheck:
     events: tuple[GlobalEvent, ...]
-    required: float
-    achieved: float
-    satisfied: bool
+    required: float  # read as its decimal, like drop_prob
+    achieved: Fraction
 
     @property
-    def margin(self) -> float:
-        return self.achieved - self.required
+    def margin(self) -> Fraction:
+        return self.achieved - Fraction(repr(self.required))
+
+    @property
+    def satisfied(self) -> bool:
+        return self.margin >= 0
 
 
 @dataclass(frozen=True)
@@ -548,15 +562,13 @@ def check_correctness(
     drop_prob: float,
     spec: SpecNode,
 ) -> CorrectnessReport:
-    """Verify that every sequence of the specification is synchronized at
-    least as likely as required."""
-    checks = []
-    for pseq in enumerate_sequences(spec):
-        achieved = explore_sync(csas, drop_prob, pseq.events).probability
-        bounded = min(max(achieved, 0.0), 1.0)
-        ok = satisfies(PSequence(pseq.events, bounded), spec)
-        checks.append(SequenceCheck(pseq.events, pseq.p, achieved, ok))
-    return CorrectnessReport(ok=all(c.satisfied for c in checks), checks=tuple(checks))
+    """Verify exactly that every sequence of the specification is synchronized
+    at least as likely as its own leaf requires."""
+    checks = tuple(
+        SequenceCheck(pseq.events, pseq.p, explore_sync(csas, drop_prob, pseq.events).probability)
+        for pseq in enumerate_sequences(spec)
+    )
+    return CorrectnessReport(ok=all(c.satisfied for c in checks), checks=checks)
 
 
 # ---------------------------------------------------------------------------

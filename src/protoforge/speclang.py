@@ -190,6 +190,7 @@ class _Parser:
         self.tokens = list(_tokenize(text))
         self.pos = 0
         self.depth = 0  # phi calls under way
+        self.path: list[tuple[str, str, str]] = []  # (name, src, dst) of the enclosing events
         self.cars: tuple[str, ...] = ()
 
     def peek(self) -> Optional[_Token]:
@@ -239,7 +240,6 @@ class _Parser:
         phi = self.phi()
         if self.peek() is not None:
             self.error("trailing input after specification")
-        _reject_duplicate_triples(phi)
         return FullSpec(protocol=phi, delta=delta, cars=self.cars)
 
     def phi(self) -> SpecNode:
@@ -261,19 +261,27 @@ class _Parser:
             inner = self.phi()
             self.take(")")
             return inner
-        event = self.event()
+        event = self.event()  # tok is its name token
+        # Synthesis assigns one message and one counter per (name, src, dst);
+        # a repeat on a single root-to-leaf path would alias them.
+        triple = (event.name, event.src, event.dst)
+        if triple in self.path:
+            raise SpecSyntaxError(f"event {event.name!r} {event.src}->{event.dst} repeats on one "
+                                  "path; each (name, source, destination) may appear once per path",
+                                  tok.line, tok.column)
         tok = self.peek()
         if tok is not None and tok.kind == ".":
             self.pos += 1
-            return Seq(event, self.phi())
+            self.path.append(triple)
+            rest = self.phi()
+            self.path.pop()
+            return Seq(event, rest)
         if tok is not None and tok.kind == ":":
-            colon = tok
             self.pos += 1
             p = self.take_float()
             if not 0.0 <= p <= 1.0:
                 raise ProbabilityOutOfRange(
-                    f"{colon.line}:{colon.column}: probability {p} outside [0, 1]"
-                )
+                    f"{tok.line}:{tok.column}: probability {p} outside [0, 1]")
             return Leaf(event, p)
         self.error("expected '.' or ':' after event")
 
@@ -299,27 +307,6 @@ class _Parser:
                     f"event {name.text!r} uses undeclared car {car!r}", name.line, name.column
                 )
         return GlobalEvent(name.text, src.text, dst.text, data)
-
-
-def _reject_duplicate_triples(spec: SpecNode):
-    # Synthesis assigns one message and one counter per (name, src, dst); a
-    # repeat on a single root-to-leaf path would alias them.
-    def walk(node, path):
-        if isinstance(node, Or):
-            walk(node.left, path)
-            walk(node.right, path)
-            return
-        triple = (node.event.name, node.event.src, node.event.dst)
-        if triple in path:
-            raise SpecSyntaxError(
-                f"event {node.event.name!r} {node.event.src}->{node.event.dst} repeats "
-                "on one path; each (name, source, destination) may appear once per path",
-                1, 1,
-            )
-        if isinstance(node, Seq):
-            walk(node.rest, path | {triple})
-
-    walk(spec, frozenset())
 
 
 def parse_spec(text: str) -> FullSpec:

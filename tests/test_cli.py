@@ -170,6 +170,36 @@ def test_verify_passes_synth_bounds_on_the_eight_event_chain(tmp_path, capsys):
     assert out.endswith("verdict: pass\n")
 
 
+def test_verify_passes_a_requirement_met_exactly(tmp_path, capsys):
+    # synth's bounds (1, 0) reach exactly 0.637 at delta 0.3; the float sum
+    # of the deductions is 0.6369999999999999.
+    spec = tmp_path / "exact.psl"
+    spec.write_text("delta 0.3; cars A B; e0 A->B . e1 B->A : 0.637\n")
+    out_dir = tmp_path / "synth"
+    assert main(["synth", "--spec", str(spec), "--out", str(out_dir)]) == 0
+    code, out, _ = run(capsys, [
+        "verify", str(out_dir / "A.json"), str(out_dir / "B.json"), "--spec", str(spec)])
+    assert code == 0
+    assert "e0.e1: required 0.637, achieved 0.637, margin 0.0 [ok]" in out
+
+
+def test_verify_checks_each_sequence_against_its_own_requirement(tmp_path, capsys):
+    # Both leaves have the sequence e0.e1; the CSAs built for 0.5 reach
+    # 0.53125, so the 0.9 leaf is violated, whatever the 0.5 leaf says.
+    half = tmp_path / "half.psl"
+    half.write_text("delta 0.5; cars A B; e0 A->B . e1 B->A : 0.5\n")
+    out_dir = tmp_path / "synth"
+    assert main(["synth", "--spec", str(half), "--out", str(out_dir)]) == 0
+    spec = tmp_path / "two.psl"
+    spec.write_text("delta 0.5; cars A B; (e0 A->B . e1 B->A : 0.9) | e0 A->B . e1 B->A : 0.5\n")
+    code, out, _ = run(capsys, [
+        "verify", str(out_dir / "A.json"), str(out_dir / "B.json"), "--spec", str(spec)])
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if "required 0.9," in line]
+    assert line.endswith("[VIOLATED]")
+    assert out.endswith("verdict: fail\n")
+
+
 def test_verify_reports_a_cycle(tmp_path, capsys):
     spec = tmp_path / "loop.psl"
     spec.write_text("delta 0.35; cars A B; e0 A->B . e1 B->A : 0.5\n")

@@ -243,7 +243,7 @@ def test_synthesis_is_correct_by_construction_on_random_dialogues():
         assert report.ok, (
             f"guarantee broken at delta={delta} bounds={list(solved.values())}"
         )
-        assert all(c.margin >= -1e-12 for c in report.checks)
+        assert all(c.margin >= 0 for c in report.checks)
         verified += 1
 
 

@@ -235,7 +235,7 @@ def test_sync_prob_zero_when_everything_drops(reference_csas, snd_ack):
 def test_probability_conservation(reference_csas, snd_ack):
     result = explore_sync(reference_csas, 0.35, snd_ack)
     assert not result.scheduler_branching
-    assert result.conservation_error < 1e-12
+    assert result.conservation_error == 0
 
 
 def test_initial_priority_is_irrelevant(reference_csas, snd_ack):
@@ -336,7 +336,7 @@ def test_explore_work_stays_small_on_a_six_event_chain():
     result = explore_sync(csas, 0.6, pseq.events)
     assert result.configs_processed <= 2_000
     assert result.probability == pytest.approx(sync_prob([8] * 6, 0.6), abs=1e-12)
-    assert result.conservation_error < 1e-12
+    assert result.conservation_error == 0
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,10 @@ def test_parse_rejects_unknown_car():
 def test_parse_rejects_duplicate_triple_on_path():
     with pytest.raises(SpecSyntaxError):
         parse_spec("delta 0; cars A B; e A->B . e B->A . e A->B : 0.5")
+    # The error points at the repeated event's name.
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_spec("delta 0; cars A B;\n  e A->B . e B->A . e A->B : 0.5")
+    assert (err.value.line, err.value.column) == (2, 21)
     # The same name with different endpoints is fine.
     parse_spec("delta 0; cars A B; e A->B . e B->A : 0.5")
 

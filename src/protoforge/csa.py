@@ -12,6 +12,7 @@ configurations (see the semantics module).
 from __future__ import annotations
 
 import json
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -79,46 +80,63 @@ class LocalEvent:
 
 
 class TransitionLabel:
-    """Base class for the seven label kinds."""
+    """Base class for the seven label kinds.  Each names its file `kind` tag and
+    its DOT `text` (a %-template over its fields) in class attributes, which stay
+    out of the repr that transitions are sorted by.  Its fields, in order
+    (`__match_args__`), are its keys in the file."""
 
     __slots__ = ()
 
 
 @dataclass(frozen=True)
 class EnvEvent(TransitionLabel):
+    kind = "env"
+    text = "env %(event)s"
     event: LocalEvent
 
 
 @dataclass(frozen=True)
 class SysCond(TransitionLabel):
+    kind = "sys-cond"
+    text = "sys %(event)s [%(cond)s]"
     event: LocalEvent
     cond: Condition
 
 
 @dataclass(frozen=True)
 class TimeoutSys(TransitionLabel):
+    kind = "timeout-sys"
+    text = "T.O. / sys %(event)s"
     event: LocalEvent
 
 
 @dataclass(frozen=True)
 class TimeoutUpd(TransitionLabel):
+    kind = "timeout-upd"
+    text = "T.O. / %(var)s++"
     var: CounterVar
 
 
 @dataclass(frozen=True)
 class BroadcastCond(TransitionLabel):
+    kind = "broadcast"
+    text = "!%(msg)s [%(cond)s]"
     msg: Message
     cond: Condition
 
 
 @dataclass(frozen=True)
 class RecvSys(TransitionLabel):
+    kind = "recv-sys"
+    text = "?%(msg)s / sys %(event)s"
     msg: Message
     event: LocalEvent
 
 
 @dataclass(frozen=True)
 class RecvUpd(TransitionLabel):
+    kind = "recv-upd"
+    text = "?%(msg)s / %(var)s++"
     msg: Message
     var: CounterVar
 
@@ -147,24 +165,23 @@ class ValidationReport:
     problems: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _label_vars(label: TransitionLabel) -> list[CounterVar]:
-    if isinstance(label, (SysCond, BroadcastCond)):
-        return [label.cond.var]
-    if isinstance(label, (TimeoutUpd, RecvUpd)):
-        return [label.var]
-    return []
+def label_counter(label: TransitionLabel) -> Optional[CounterVar]:
+    """The counter that label's guard reads or that it increments, or None."""
+    cond = getattr(label, "cond", None)
+    return cond.var if cond is not None else getattr(label, "var", None)
 
 
-def _label_event(label: TransitionLabel) -> Optional[LocalEvent]:
-    if isinstance(label, (EnvEvent, SysCond, TimeoutSys, RecvSys)):
-        return label.event
-    return None
+def _repeated(items: tuple) -> list:
+    if len(set(items)) == len(items):
+        return []
+    return [x for x, n in Counter(items).items() if n > 1]
 
 
 def validate(csa: Csa) -> ValidationReport:
-    """Report structural problems: dangling states, undeclared counters,
-    events whose peer is the owner itself."""
-    problems = []
+    """Report structural problems: repeated or dangling states, repeated or
+    undeclared counters, events whose peer is the owner itself."""
+    problems = [f"state {s!r} is declared more than once" for s in _repeated(csa.states)]
+    problems += [f"counter {v!r} is declared more than once" for v in _repeated(csa.vars)]
     states = set(csa.states)
     declared = set(csa.vars)
     if csa.init not in states:
@@ -177,10 +194,10 @@ def validate(csa: Csa) -> ValidationReport:
             problems.append(f"transition source {src!r} is not a declared state")
         if dst not in states:
             problems.append(f"transition target {dst!r} is not a declared state")
-        for var in _label_vars(label):
-            if var not in declared:
-                problems.append(f"transition at {src!r} uses undeclared counter {var!r}")
-        event = _label_event(label)
+        var = label_counter(label)
+        if var is not None and var not in declared:
+            problems.append(f"transition at {src!r} uses undeclared counter {var!r}")
+        event = getattr(label, "event", None)
         if event is not None and event.peer == csa.owner:
             problems.append(
                 f"event {event.name!r} at {src!r} has the owner {csa.owner!r} as its peer"
@@ -192,32 +209,19 @@ def validate(csa: Csa) -> ValidationReport:
 # Isomorphism
 
 
-def _label_shape(label: TransitionLabel):
+def _label_shape(label: TransitionLabel) -> tuple:
     # Everything except state, counter, and message identities; used both as a
     # matching precondition and as a pruning signature.
-    if isinstance(label, EnvEvent):
-        return ("env", label.event)
-    if isinstance(label, SysCond):
-        return ("sys-cond", label.event, label.cond.op, label.cond.bound)
-    if isinstance(label, TimeoutSys):
-        return ("timeout-sys", label.event)
-    if isinstance(label, TimeoutUpd):
-        return ("timeout-upd",)
-    if isinstance(label, BroadcastCond):
-        return ("broadcast", label.msg.src, label.msg.dst, label.msg.data,
-                label.cond.op, label.cond.bound)
-    if isinstance(label, RecvSys):
-        return ("recv-sys", label.msg.src, label.msg.dst, label.msg.data, label.event)
-    if isinstance(label, RecvUpd):
-        return ("recv-upd", label.msg.src, label.msg.dst, label.msg.data)
-    raise TypeError(f"unknown label {label!r}")
+    shape = (label.kind,)
+    for name in label.__match_args__:
+        shape += _PARTS[name].shape(getattr(label, name))
+    return shape
 
 
 def _label_ids(label: TransitionLabel):
     # (counter or None, message id or None) for the renaming bijections.
-    var = (_label_vars(label) or [None])[0]
-    msg = label.msg.id if isinstance(label, (BroadcastCond, RecvSys, RecvUpd)) else None
-    return var, msg
+    msg = getattr(label, "msg", None)
+    return label_counter(label), msg.id if msg is not None else None
 
 
 def isomorphic(a: Csa, b: Csa) -> bool:
@@ -366,47 +370,32 @@ def _cond_from_json(obj: dict) -> Condition:
     return Condition(_get(obj, "var", str), _get(obj, "op", str), _get(obj, "bound", int))
 
 
+# How a label field is read from and written to a CSA file (its key is the
+# field name), and what of it isomorphism keeps: the part no renaming moves.
+_Part = namedtuple("_Part", "typ load dump shape")
+_PARTS = {
+    "event": _Part(dict, _event_from_json, _event_to_json, lambda event: (event,)),
+    "msg": _Part(dict, _msg_from_json, _msg_to_json, lambda msg: (msg.src, msg.dst, msg.data)),
+    "cond": _Part(dict, _cond_from_json, _cond_to_json, lambda cond: (cond.op, cond.bound)),
+    "var": _Part(str, str, str, lambda var: ()),
+}
+_BY_KIND = {cls.kind: cls for cls in (EnvEvent, SysCond, TimeoutSys, TimeoutUpd, BroadcastCond,
+                                      RecvSys, RecvUpd)}
+
+
 def _label_to_json(label: TransitionLabel) -> dict:
-    if isinstance(label, EnvEvent):
-        return {"kind": "env", "event": _event_to_json(label.event)}
-    if isinstance(label, SysCond):
-        return {"kind": "sys-cond", "event": _event_to_json(label.event),
-                "cond": _cond_to_json(label.cond)}
-    if isinstance(label, TimeoutSys):
-        return {"kind": "timeout-sys", "event": _event_to_json(label.event)}
-    if isinstance(label, TimeoutUpd):
-        return {"kind": "timeout-upd", "var": label.var}
-    if isinstance(label, BroadcastCond):
-        return {"kind": "broadcast", "msg": _msg_to_json(label.msg),
-                "cond": _cond_to_json(label.cond)}
-    if isinstance(label, RecvSys):
-        return {"kind": "recv-sys", "msg": _msg_to_json(label.msg),
-                "event": _event_to_json(label.event)}
-    if isinstance(label, RecvUpd):
-        return {"kind": "recv-upd", "msg": _msg_to_json(label.msg), "var": label.var}
-    raise TypeError(f"unknown label {label!r}")
+    out = {"kind": label.kind}
+    for name in label.__match_args__:
+        out[name] = _PARTS[name].dump(getattr(label, name))
+    return out
 
 
 def _label_from_json(obj: dict) -> TransitionLabel:
     kind = _get(obj, "kind", str)
-    if kind == "env":
-        return EnvEvent(_event_from_json(_get(obj, "event", dict)))
-    if kind == "sys-cond":
-        return SysCond(_event_from_json(_get(obj, "event", dict)),
-                       _cond_from_json(_get(obj, "cond", dict)))
-    if kind == "timeout-sys":
-        return TimeoutSys(_event_from_json(_get(obj, "event", dict)))
-    if kind == "timeout-upd":
-        return TimeoutUpd(_get(obj, "var", str))
-    if kind == "broadcast":
-        return BroadcastCond(_msg_from_json(_get(obj, "msg", dict)),
-                             _cond_from_json(_get(obj, "cond", dict)))
-    if kind == "recv-sys":
-        return RecvSys(_msg_from_json(_get(obj, "msg", dict)),
-                       _event_from_json(_get(obj, "event", dict)))
-    if kind == "recv-upd":
-        return RecvUpd(_msg_from_json(_get(obj, "msg", dict)), _get(obj, "var", str))
-    raise ValueError(f"unknown transition kind {kind!r}")
+    cls = _BY_KIND.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown transition kind {kind!r}")
+    return cls(*[_PARTS[key].load(_get(obj, key, _PARTS[key].typ)) for key in cls.__match_args__])
 
 
 def export_json(csa: Csa) -> str:
@@ -427,7 +416,8 @@ def import_json(text: str) -> Csa:
     """Parse a CSA file written by export_json.
 
     Raises ValueError when the text is not JSON, when a key is missing or
-    holds a value of the wrong type, or when `validate` reports problems.
+    holds a value of the wrong type, when two transitions share a source and
+    a label, or when `validate` reports problems.
     """
     try:
         doc = json.loads(text)
@@ -442,9 +432,14 @@ def import_json(text: str) -> Csa:
     for i, t in enumerate(_get(doc, "transitions", list)):
         try:
             key = (_get(t, "from", str), _label_from_json(_get(t, "label", dict)))
-            transitions[key] = _get(t, "to", str)
+            dst = _get(t, "to", str)
         except ValueError as exc:
             raise ValueError(f"transition {i}: {exc}") from None
+        transitions[key] = dst
+        if len(transitions) == i:  # key was there already
+            first = list(transitions).index(key)  # each entry before i added a key
+            raise ValueError(f"transitions {first} and {i} both leave {key[0]!r} on "
+                             f"{label_text(key[1])!r}")
     csa = Csa(
         owner=_get(doc, "owner", str),
         states=tuple(_get(s, "id", str) for s in states),
@@ -460,22 +455,8 @@ def import_json(text: str) -> Csa:
 
 
 def label_text(label: TransitionLabel) -> str:
-    """Compact single-line rendering used in DOT edges and trace logs."""
-    if isinstance(label, EnvEvent):
-        return f"env {label.event}"
-    if isinstance(label, SysCond):
-        return f"sys {label.event} [{label.cond}]"
-    if isinstance(label, TimeoutSys):
-        return f"T.O. / sys {label.event}"
-    if isinstance(label, TimeoutUpd):
-        return f"T.O. / {label.var}++"
-    if isinstance(label, BroadcastCond):
-        return f"!{label.msg} [{label.cond}]"
-    if isinstance(label, RecvSys):
-        return f"?{label.msg} / sys {label.event}"
-    if isinstance(label, RecvUpd):
-        return f"?{label.msg} / {label.var}++"
-    raise TypeError(f"unknown label {label!r}")
+    """Compact single-line rendering used in DOT edges and error messages."""
+    return label.text % vars(label)
 
 
 def export_dot(csa: Csa) -> str:

@@ -71,8 +71,6 @@ def feasibility_sweep(
     grid_n: Iterable[int],
     grid_dmax: Iterable[float],
     grid_tau: Iterable[float],
-    a: float = SIGMOID_SCALE,
-    b: float = SIGMOID_RATE,
     cap: int = 512,
 ) -> list[SweepRow]:
     """Realizability of the specification at every grid point, in grid order."""
@@ -84,7 +82,7 @@ def feasibility_sweep(
     for n in grid_n:
         for dm in grid_dmax:
             for tau in grid_tau:
-                params = MediumParams(n, dm, tau, a, b)
+                params = MediumParams(n, dm, tau)
                 delta = drop_prob(params)
                 solved = solved_at.get(delta)
                 if solved is None:

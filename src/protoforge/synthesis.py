@@ -33,7 +33,7 @@ from .csa import (
     SysCond,
     TimeoutSys,
     TimeoutUpd,
-    _label_vars,
+    label_counter,
 )
 from .errors import MissingBound, NotWellPosed, Unrealizable
 from .speclang import CarId, FullSpec, GlobalEvent, Leaf, Or, Seq, SpecNode, events_of, well_posed
@@ -160,7 +160,7 @@ def synthesize_for_car(spec: SpecNode, car: CarId, bounds: BoundsVector) -> Csa:
 
     partial, _ = syn(spec, 0, {})
     name = {idx: f"s{idx}" for idx in sorted(partial.states)}
-    used = {v for (_, label) in partial.trans for v in _label_vars(label)}
+    used = {label_counter(label) for (_, label) in partial.trans}
     return Csa(
         owner=car,
         states=tuple(name[idx] for idx in sorted(partial.states)),

@@ -87,6 +87,18 @@ def test_synth_outputs(synth_dir):
     assert len(b["states"]) == 10
 
 
+def test_synth_golden_files(synth_dir):
+    # Pinned bytes of every file `synth` writes for the example.
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in synth_dir.iterdir()}
+    assert digests == {
+        "A.json": "c8b1df9a90900f9d58afa6c1c0300dcc910c94a02a9558f34af457f40eafdd60",
+        "B.json": "1ddc11df9114cb3e4eb0045638df19f39bfc4f2b53feb87a515df3744641d2ed",
+        "A.dot": "c3434ec5f3ad70efac5cb7df250b8fccaf125a2876d29fa45b965f176e28a493",
+        "B.dot": "7957de5b17f5ce4a07a15b816201350705bcc60dc016e650767291dbac596bf0",
+        "bounds.json": "c1b66825b98259817b97e606e8c6a3b66ade3030a23ff4b56e8d5928ec757198",
+    }
+
+
 def test_synth_unrealizable(tmp_path, capsys):
     path = tmp_path / "hard.psl"
     path.write_text(HARD_TEXT + "\n")
@@ -505,6 +517,32 @@ def test_verify_rejects_malformed_csa_file(tmp_path, spec_file, synth_dir, capsy
     bad.write_text(text)
     code, out, err = run(capsys, [
         "verify", str(bad), str(synth_dir / "B.json"), "--spec", str(spec_file),
+    ])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["verify"], ["simulate", "--runs", "10"]],
+                         ids=["verify", "simulate"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["transitions"].append(dict(doc["transitions"][0], to="s2")),
+     "transitions 0 and 6 both leave 's0' on 'env snd->B(d)'"),
+    (lambda doc: doc["states"].append({"id": "s0", "final": True}),
+     "invalid CSA for 'A': state 's0' is declared more than once"),
+    (lambda doc: doc["vars"].append(doc["vars"][0]),
+     "invalid CSA for 'A': counter 'nu_snd' is declared more than once"),
+], ids=["transition", "state", "counter"])
+def test_csa_file_with_a_repeated_entry_is_rejected(tmp_path, spec_file, synth_dir, capsys,
+                                                    command, edit, message):
+    # Loaded into a dict or a set, a repeated entry would silently replace or
+    # merge with the first, and the command would judge another automaton.
+    doc = json.loads((synth_dir / "A.json").read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, [
+        *command, str(bad), str(synth_dir / "B.json"), "--spec", str(spec_file),
     ])
     assert code == 2
     assert out == ""

@@ -1,4 +1,7 @@
+import json
 import random
+
+import pytest
 
 from protoforge import (
     BroadcastCond,
@@ -7,7 +10,10 @@ from protoforge import (
     EnvEvent,
     LocalEvent,
     Message,
+    RecvSys,
+    RecvUpd,
     SysCond,
+    TimeoutSys,
     TimeoutUpd,
     export_dot,
     export_json,
@@ -186,6 +192,52 @@ def test_json_round_trip_synthesized():
         bounds = {e: rng.randint(0, 4) for e in events_of(tree)}
         csa = synthesize_for_car(tree, "A", bounds)
         assert import_json(export_json(csa)) == csa
+
+
+@pytest.mark.parametrize("label, text, dot", [
+    (EnvEvent(LocalEvent("snd", "B", "d", "env")),
+     '{"kind": "env", "event": {"name": "snd", "peer": "B", "kind": "env", "data": "d"}}',
+     "env snd->B(d)"),
+    (SysCond(LocalEvent("snd", "B", None, "sys", "fail"), Condition("nu", ">", 2)),
+     '{"kind": "sys-cond", "event": {"name": "snd", "peer": "B", "kind": "sys", '
+     '"special": "fail"}, "cond": {"var": "nu", "op": ">", "bound": 2}}',
+     "sys fail_snd<-B [nu>2]"),
+    (TimeoutSys(LocalEvent("ack", "B", "d", "sys", "success")),
+     '{"kind": "timeout-sys", "event": {"name": "ack", "peer": "B", "kind": "sys", '
+     '"data": "d", "special": "success"}}',
+     "T.O. / sys success_ack<-B(d)"),
+    (TimeoutUpd("nu"), '{"kind": "timeout-upd", "var": "nu"}', "T.O. / nu++"),
+    (BroadcastCond(Message("m", "A", "B", "d"), Condition("nu", "<=", 0)),
+     '{"kind": "broadcast", "msg": {"id": "m", "src": "A", "dst": "B", "data": "d"}, '
+     '"cond": {"var": "nu", "op": "<=", "bound": 0}}',
+     "!m_A->B(d) [nu<=0]"),
+    (RecvSys(Message("k", "B", "A"), LocalEvent("ack", "B", None, "sys")),
+     '{"kind": "recv-sys", "msg": {"id": "k", "src": "B", "dst": "A"}, '
+     '"event": {"name": "ack", "peer": "B", "kind": "sys"}}',
+     "?k_B->A / sys ack<-B"),
+    (RecvUpd(Message("k", "B", "A"), "nu"),
+     '{"kind": "recv-upd", "msg": {"id": "k", "src": "B", "dst": "A"}, "var": "nu"}',
+     "?k_B->A / nu++"),
+], ids=["env", "sys-cond", "timeout-sys", "timeout-upd", "broadcast", "recv-sys", "recv-upd"])
+def test_each_label_kind_has_one_file_and_dot_form(label, text, dot):
+    csa = Csa("A", ("s0", "s1"), ("nu",), "s0", frozenset({"s1"}), {("s0", label): "s1"})
+    doc = json.loads(export_json(csa))
+    assert json.dumps(doc["transitions"][0]["label"]) == text
+    assert f'  "s0" -> "s1" [label="{dot}"];' in export_dot(csa).splitlines()
+    assert import_json(export_json(csa)) == csa
+
+    def load_with(label_doc):
+        doc["transitions"][0]["label"] = label_doc
+        with pytest.raises(ValueError) as exc:
+            import_json(json.dumps(doc))
+        return str(exc.value)
+
+    for key in list(json.loads(text))[1:]:
+        label_doc = json.loads(text)
+        del label_doc[key]
+        assert load_with(label_doc) == f"transition 0: missing key {key!r}"
+    assert load_with(dict(json.loads(text), kind="x")) == (
+        "transition 0: unknown transition kind 'x'")
 
 
 def test_dot_single_state():

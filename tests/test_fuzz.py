@@ -34,6 +34,13 @@ def either(good):
     return st.integers(0, 39).flatmap(lambda k: json_values if k == 0 else good)
 
 
+def rarely(common, rare):
+    # One draw in eight from rare: here a list that repeats an entry (a state,
+    # a counter, or a transition's source and label under another target),
+    # which the loader must reject.
+    return st.integers(0, 7).flatmap(lambda k: rare if k == 0 else common)
+
+
 def csa_doc(owner, other):
     state = st.sampled_from(("s0", "s1", "s2"))
     var = st.sampled_from(("nu", "mu"))
@@ -59,14 +66,18 @@ def csa_doc(owner, other):
         st.fixed_dictionaries({"kind": st.just("recv-sys"), "msg": msg, "event": event}),
         st.fixed_dictionaries({"kind": st.just("recv-upd"), "msg": msg, "var": var}),
     ))
+    transition = st.fixed_dictionaries({"from": state, "to": state, "label": label})
+    states = st.tuples(*(either(st.fixed_dictionaries({"id": st.just(s), "final": st.booleans()}))
+                         for s in ("s0", "s1", "s2")))
+    again = st.fixed_dictionaries({"id": state, "final": st.booleans()})
+    twice = st.tuples(transition, state).map(lambda p: [p[0], dict(p[0], to=p[1])])
     return either(st.fixed_dictionaries({
         "owner": either(st.just(owner)),
-        "states": either(st.tuples(*(either(st.fixed_dictionaries(
-            {"id": st.just(s), "final": st.booleans()})) for s in ("s0", "s1", "s2")))),
+        "states": either(rarely(states, st.tuples(states, again).map(lambda p: [*p[0], p[1]]))),
         "init": either(state),
-        "vars": either(st.just(["nu", "mu"])),
-        "transitions": either(st.lists(either(st.fixed_dictionaries(
-            {"from": state, "to": state, "label": label})), max_size=5)),
+        "vars": either(rarely(st.just(["nu", "mu"]), st.just(["nu", "mu", "nu"]))),
+        "transitions": either(st.tuples(st.lists(either(transition), max_size=5),
+                                        rarely(st.just([]), twice)).map(lambda p: p[0] + p[1])),
     }))
 
 

@@ -99,7 +99,6 @@ def _levels(rest: tuple, d: float) -> array:
     return out
 
 
-@lru_cache(maxsize=1 << 16)
 def _sync_prob(bounds: tuple, d: float) -> float:
     if len(bounds) == 2:
         return sync_prob_two(bounds[0], bounds[1], d)

@@ -412,15 +412,24 @@ def export_json(csa: Csa) -> str:
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
+def _object(pairs: list) -> dict:
+    # json's object hook: a repeated key would otherwise keep its last value.
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = _repeated(tuple(k for k, _ in pairs))[0]
+        raise ValueError(f"key {key!r} is repeated in one object")
+    return doc
+
+
 def import_json(text: str) -> Csa:
     """Parse a CSA file written by export_json.
 
-    Raises ValueError when the text is not JSON, when a key is missing or
-    holds a value of the wrong type, when two transitions share a source and
-    a label, or when `validate` reports problems.
+    Raises ValueError when the text is not JSON or repeats a key in an object,
+    when a key is missing or holds a value of the wrong type, when two
+    transitions share a source and a label, or when `validate` reports problems.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except RecursionError:
         raise ValueError("CSA file nests too deeply") from None
     states = _get(doc, "states", list)

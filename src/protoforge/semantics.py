@@ -20,11 +20,11 @@ env transitions with timeouts or receptions, so rule selection is unaffected).
 
 All these rules are implemented once, in `_Engine`.  `_Graph` builds from it
 one lazily compiled deduction graph per (CSAs, sigma), with dead counters
-zeroed and runs of single successors collapsed, and three consumers use it:
-`explore_sync` evaluates it backward in exact decimals, `run_monte_carlo`
-walks int-indexed tables of its next medium nodes, built whole and checked to
-end, and traced runs re-expand only the edges walked.  `global_steps` steps
-the engine alone.
+zeroed and runs of single successors collapsed.  `explore_sync` evaluates it
+backward in exact decimals, and `run_monte_carlo` walks int-indexed tables of
+its next medium nodes, built whole and checked to end.  A traced run steps the
+engine itself from the initial config, drawing at each medium config as the
+tables do, and builds rho as it goes.  `global_steps` steps the engine alone.
 """
 
 from __future__ import annotations
@@ -595,7 +595,8 @@ def run_monte_carlo(
     """Sample executions of the global semantics with Bernoulli medium outcomes.
 
     Each run walks next-medium-node tables over the deduction graph from its
-    root, drawing one number per medium node it passes.  All runs of a call
+    root, drawing one number per medium node it passes; a traced run steps
+    the engine instead and draws at the same configs.  All runs of a call
     share one stream, seeded from the seed's decimal text (so seeds 5 and -5
     differ), and run k takes its draws after runs 0..k-1.  The output is
     deterministic for a given seed and sigma, and prefix-stable: the first n
@@ -607,25 +608,13 @@ def run_monte_carlo(
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     graph = _Graph(csas, sigma, drop_prob)
-    tables = _Tables(graph)
+    tables = _Tables(graph)  # built whole: it raises on a loop before any run, traced or not
     rng = random.Random(str(seed))
-    if not collect_traces:
-        successes = tables.walk(runs, rng.random)
-        return MonteCarloResult(runs, successes, runs - successes, successes / runs)
-
-    decisions: list = []  # the current run's medium outcomes, True for a drop
-
-    def draw():
-        x = rng.random()
-        decisions.append(x < drop_prob)
-        return x
-
-    traces = []
-    for k in range(runs):
-        decisions.clear()
-        success = tables.walk(1, draw)
-        traces.append(_trace(graph, k, decisions, success))
-    successes = sum(t["outcome"] == _SUCCESS for t in traces)
+    if collect_traces:
+        traces = [_trace(graph, k, rng.random) for k in range(runs)]
+        successes = sum(t["outcome"] == _SUCCESS for t in traces)
+    else:
+        traces, successes = None, tables.walk(runs, rng.random)
     return MonteCarloResult(runs, successes, runs - successes, successes / runs, traces)
 
 
@@ -719,16 +708,16 @@ class _Tables:
         raise _cycle("repeats with no random medium outcome in between")
 
 
-def _trace(graph: _Graph, run: int, decisions: list, success: bool) -> dict:
-    """The record of a walked run: its deduced sequence, rebuilt by expanding
-    from the initial config, taking the next of decisions (dropped or not) at
-    each medium config and the first successor elsewhere, up to the end."""
-    engine, rho, cfg = graph.engine, [], graph.engine.initial()
-    decisions = iter(decisions)
+def _trace(graph: _Graph, run: int, draw) -> dict:
+    """One run stepped through the engine from the initial config, with its
+    record.  Each medium config calls draw() once and drops the message when
+    the result is below the drop probability, as _Tables.walk does; elsewhere
+    the run takes the first successor, up to the end."""
+    engine, rho, cfg, d = graph.engine, [], graph.engine.initial(), graph.drop_prob
     while not engine.is_success(cfg):
         shape = engine.expand(cfg)
         if shape[0] == "medium":
-            s = shape[2] if next(decisions) else shape[1][0]
+            s = shape[2] if draw() < d else shape[1][0]
         elif shape[1]:
             s = shape[1][0]
         else:
@@ -741,7 +730,7 @@ def _trace(graph: _Graph, run: int, decisions: list, success: bool) -> dict:
         cfg = s.cfg
     return {
         "run": run,
-        "outcome": _SUCCESS if success else _FAILURE,
+        "outcome": _SUCCESS if engine.is_success(cfg) else _FAILURE,
         "rho": [str(item) for item in rho],
         "final_states": {m.owner: m.state_names[cfg[0][x][0]]
                          for x, m in enumerate(engine.machines)},

@@ -16,6 +16,9 @@ Python's default recursion limit.  Example::
 
     delta 0.35; cars A B;
     snd A->B(d) . (ack B->A : 0.7 | nack B->A : 0.8)
+
+Synthesis takes only well-posed specifications: two cars take turns on each
+path, and no event begins two alternatives of one `|` (see `well_posed`).
 """
 
 from __future__ import annotations
@@ -400,13 +403,27 @@ class WellPosednessReport:
 
 
 def well_posed(spec: SpecNode) -> WellPosednessReport:
-    """Check that every path is a strict two-party dialogue.
+    """Check that every path is a strict two-party dialogue, and that no event
+    begins two alternatives of one disjunction, nested ones included.
 
     Each root-to-leaf sequence must contain at least two events, and the two
     cars must take turns triggering: each event's source is the previous
     event's destination and vice versa.
     """
     violations = []
+
+    def starts(node, path):
+        # The events that begin node's alternatives; reports those two share.
+        if isinstance(node, Seq):
+            starts(node.rest, path + (node.event,))
+        if not isinstance(node, Or):
+            return {node.event: None}
+        left, right = starts(node.left, path), starts(node.right, path)
+        where = f"after path '{'.'.join(e.name for e in path)}'" if path else "at the root"
+        violations.extend(Violation(path, f"alternatives {where} both begin with event '{e}'; "
+                                          "write it once, before the '|'") for e in left if e in right)
+        return {**left, **right}
+
     for pseq in enumerate_sequences(spec):
         events = pseq.events
         names = ".".join(e.name for e in events)
@@ -425,4 +442,5 @@ def well_posed(spec: SpecNode) -> WellPosednessReport:
                     f"({cur.src}->{cur.dst} is followed by {nxt.src}->{nxt.dst}; the "
                     "two ASCs must take turns triggering)",
                 ))
+    starts(spec, ())
     return WellPosednessReport(ok=not violations, violations=tuple(violations))

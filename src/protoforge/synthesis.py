@@ -1,11 +1,15 @@
 """Translate a well-posed protocol specification into one CSA per car.
 
-Construction is a structural recursion over the specification tree, threading
-a state-index counter (so output state names are deterministic) and the table
-of most-recently-transmitted messages per direction, which supplies the
-retransmission trigger for the final event of each path:
+Construction is one structural recursion over the specification tree that
+adds states and transitions to a single transition table per car.  It threads
+the state each subtree starts at, a state-index counter (so output state names
+are deterministic) and the table of most-recently-transmitted messages per
+direction, which supplies the retransmission trigger for the final event of
+each path:
 
-* disjunction: build both sub-CSAs and merge their initial states;
+* disjunction: both alternatives start at the disjunction's state (well-posed
+  alternatives never begin with the same event, so they add distinct
+  transitions there);
 * chain event, car is the source: environment call, guarded broadcast with a
   timeout-update retry loop, and a fail exit once the counter passes its bound;
 * chain event, car is the destination: reception synchronizing the event;
@@ -36,7 +40,7 @@ from .csa import (
     label_counter,
 )
 from .errors import MissingBound, NotWellPosed, Unrealizable
-from .speclang import CarId, FullSpec, GlobalEvent, Leaf, Or, Seq, SpecNode, events_of, well_posed
+from .speclang import CarId, FullSpec, GlobalEvent, Or, Seq, SpecNode, events_of, well_posed
 
 BoundsVector = Mapping[GlobalEvent, int]
 
@@ -78,45 +82,29 @@ def bounds_by_name(spec: SpecNode, bounds: BoundsVector) -> dict[str, int]:
     return {bindings[e].message.id[len("m_"):]: bounds[e] for e in events_of(spec)}
 
 
-@dataclass
-class _Partial:
-    states: set[int]
-    init: int
-    finals: set[int]
-    trans: dict
-
-
 def synthesize_for_car(spec: SpecNode, car: CarId, bounds: BoundsVector) -> Csa:
     """Build the CSA executing `car`'s share of the specification."""
     report = well_posed(spec)
     if not report.ok:
         raise NotWellPosed(report)
-    events = events_of(spec)
-    for event in events:
+    for event in events_of(spec):
         if event not in bounds:
             raise MissingBound(f"no retransmission bound for event {event}")
     bindings = event_bindings(spec)
+    finals: set[int] = set()
+    trans: dict = {}  # (state, label) -> state; well-posedness keeps the keys distinct
 
-    def syn(node, i, latest):
-        # latest maps a (src, dst) direction to the message most recently
-        # transmitted along it on the current path.
+    def syn(node, start, i, latest):
+        # Add node's share to the tables from state `start` on (which is i
+        # except right of a '|'), numbering its other states from i + 1, and
+        # return the next free index.  latest maps a (src, dst) direction to
+        # the message most recently transmitted along it on the current path.
         if isinstance(node, Or):
-            m1, i1 = syn(node.left, i, latest)
-            m2, i2 = syn(node.right, i1, latest)
-            sub = lambda s: m1.init if s == m2.init else s
-            merged = _Partial(
-                states=m1.states | {sub(s) for s in m2.states},
-                init=m1.init,
-                finals=m1.finals | {sub(s) for s in m2.finals},
-                trans=dict(m1.trans),
-            )
-            for (src, label), dst in m2.trans.items():
-                merged.trans[(sub(src), label)] = sub(dst)
-            return merged, i2
+            # The right side starts where the left does, leaving its own index unused.
+            return syn(node.right, start, syn(node.left, start, i, latest), latest)
 
         event = node.event
-        msg = bindings[event].message
-        counter = bindings[event].counter
+        msg, counter = bindings[event].message, bindings[event].counter
         n = bounds[event]
         retry = Condition(counter, "<=", n)
         exhausted = Condition(counter, ">", n)
@@ -126,50 +114,46 @@ def synthesize_for_car(spec: SpecNode, car: CarId, bounds: BoundsVector) -> Csa:
         success = LocalEvent(event.name, peer=event.dst, kind="sys", special="success")
 
         if isinstance(node, Seq):
-            latest = dict(latest)
-            latest[(event.src, event.dst)] = msg
+            latest = {**latest, (event.src, event.dst): msg}
             if car == event.src:
-                m, i2 = syn(node.rest, i + 3, latest)
-                m.trans[(i, EnvEvent(env))] = i + 1
-                m.trans[(i + 1, BroadcastCond(msg, retry))] = m.init
-                m.trans[(i + 1, SysCond(fail, exhausted))] = i + 2
-                m.trans[(m.init, TimeoutUpd(counter))] = i + 1
-                return _Partial(m.states | {i, i + 1, i + 2}, i, m.finals, m.trans), i2
+                trans[(start, EnvEvent(env))] = i + 1
+                trans[(i + 1, BroadcastCond(msg, retry))] = i + 3
+                trans[(i + 1, SysCond(fail, exhausted))] = i + 2
+                trans[(i + 3, TimeoutUpd(counter))] = i + 1
+                return syn(node.rest, i + 3, i + 3, latest)
             if car == event.dst:
-                m, i2 = syn(node.rest, i + 1, latest)
-                m.trans[(i, RecvSys(msg, sys))] = m.init
-                return _Partial(m.states | {i}, i, m.finals, m.trans), i2
-            return syn(node.rest, i, latest)
+                trans[(start, RecvSys(msg, sys))] = i + 1
+                return syn(node.rest, i + 1, i + 1, latest)
+            return syn(node.rest, start, i, latest)
 
         # Leaf: the last event of this path.
         if car == event.src:
             trigger = latest.get((event.dst, event.src))
             assert trigger is not None, "well-posedness guarantees a previous message to re-receive"
-            trans = {
-                (i, EnvEvent(env)): i + 1,
-                (i + 1, BroadcastCond(msg, retry)): i + 2,
-                (i + 1, SysCond(fail, exhausted)): i + 3,
-                (i + 2, RecvUpd(trigger, counter)): i + 1,
-                (i + 2, TimeoutSys(success)): i + 4,
-            }
-            return _Partial(set(range(i, i + 5)), i, {i + 4}, trans), i + 5
+            trans[(start, EnvEvent(env))] = i + 1
+            trans[(i + 1, BroadcastCond(msg, retry))] = i + 2
+            trans[(i + 1, SysCond(fail, exhausted))] = i + 3
+            trans[(i + 2, RecvUpd(trigger, counter))] = i + 1
+            trans[(i + 2, TimeoutSys(success))] = i + 4
+            finals.add(i + 4)
+            return i + 5
         if car == event.dst:
-            trans = {(i, RecvSys(msg, sys)): i + 1}
-            return _Partial({i, i + 1}, i, {i + 1}, trans), i + 2
-        return _Partial({i}, i, {i}, {}), i + 1
+            trans[(start, RecvSys(msg, sys))] = i + 1
+            finals.add(i + 1)
+            return i + 2
+        finals.add(start)
+        return i + 1
 
-    partial, _ = syn(spec, 0, {})
-    name = {idx: f"s{idx}" for idx in sorted(partial.states)}
-    used = {label_counter(label) for (_, label) in partial.trans}
+    syn(spec, 0, 0, {})
+    states = sorted({0, *trans.values()})  # every state but s0 is entered by a transition
+    used = {label_counter(label) for (_, label) in trans}
     return Csa(
         owner=car,
-        states=tuple(name[idx] for idx in sorted(partial.states)),
+        states=tuple(f"s{idx}" for idx in states),
         vars=tuple(b.counter for e, b in bindings.items() if b.counter in used),
-        init=name[partial.init],
-        finals=frozenset(name[idx] for idx in partial.finals),
-        transitions={
-            (name[src], label): name[dst] for (src, label), dst in partial.trans.items()
-        },
+        init="s0",
+        finals=frozenset(f"s{idx}" for idx in finals),
+        transitions={(f"s{src}", label): f"s{dst}" for (src, label), dst in trans.items()},
     )
 
 

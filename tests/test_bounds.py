@@ -161,7 +161,6 @@ def _count_level_entries(monkeypatch):
         return out
 
     monkeypatch.setattr(bounds, "_levels", counting)
-    bounds._sync_prob.cache_clear()
     return computed
 
 

@@ -8,12 +8,13 @@ import sys
 import pytest
 
 import protoforge
-from protoforge import events_of, export_json, parse_spec, synthesize_for_car
+from protoforge import events_of, export_json, parse_spec, synthesize_all, synthesize_for_car
 from protoforge.cli import build_parser, main
 from protoforge.speclang import MAX_NESTING
 from conftest import EXAMPLE_TEXT, no_exit_loop_csas, timeout_loop_csas, trap_loop_csas
 
 HARD_TEXT = "delta 0.35; cars A B; snd A->B(d) . (ack B->A : 0.9 | nack B->A : 0.9)"
+EXAMPLE_A_JSON = export_json(synthesize_all(parse_spec(EXAMPLE_TEXT)).csas["A"])
 
 
 @pytest.fixture()
@@ -210,6 +211,39 @@ def test_verify_checks_each_sequence_against_its_own_requirement(tmp_path, capsy
     (line,) = [line for line in out.splitlines() if "required 0.9," in line]
     assert line.endswith("[VIOLATED]")
     assert out.endswith("verdict: fail\n")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("(a A->B . b B->A : 0.5) | a A->B . c B->A : 0.6",
+     "alternatives at the root both begin with event 'a A->B'; write it once, before the '|'"),
+    ("a A->B . ((b B->A . c A->B : 0.4) | b B->A . d A->B : 0.4)",
+     "alternatives after path 'a' both begin with event 'b B->A'; write it once, before the '|'"),
+], ids=["at-the-root", "after-a"])
+def test_alternatives_that_begin_alike_are_rejected(tmp_path, capsys, body, message):
+    # Synthesized, one alternative's transition would replace the other's, and
+    # verify would find its sequence achieved 0.0.
+    spec = tmp_path / "alike.psl"
+    spec.write_text(f"delta 0.3; cars A B; {body}\n")
+    code, out, _ = run(capsys, ["check", "--spec", str(spec)])
+    assert code == 1
+    assert out == f"well-posed: no\n  violation: {message}\nrealizable: no\n"
+    out_dir = tmp_path / "synth"
+    code, out, err = run(capsys, ["synth", "--spec", str(spec), "--out", str(out_dir)])
+    assert code == 1
+    assert (out, err) == ("", f"unrealizable: {message}\n")
+    assert not out_dir.exists()
+
+
+def test_alternatives_factored_after_their_shared_event_verify(tmp_path, capsys):
+    spec = tmp_path / "factored.psl"
+    spec.write_text("delta 0.3; cars A B; a A->B . (b B->A : 0.5 | c B->A : 0.6)\n")
+    out_dir = tmp_path / "synth"
+    assert main(["synth", "--spec", str(spec), "--out", str(out_dir)]) == 0
+    code, out, _ = run(capsys, [
+        "verify", str(out_dir / "A.json"), str(out_dir / "B.json"), "--spec", str(spec)])
+    assert code == 0
+    assert "a.b: required 0.5, achieved 0.637, margin 0.137 [ok]" in out
+    assert "a.c: required 0.6, achieved 0.637, margin 0.037 [ok]" in out
 
 
 def test_verify_reports_a_cycle(tmp_path, capsys):
@@ -511,7 +545,9 @@ def test_dead_flags_are_gone(spec_file, capsys, argv):
                  "vars": [], "transitions": []}),
      "invalid CSA for 'A': initial state 'zz' is not declared"),
     ("[" * 100_000 + "]" * 100_000, "CSA file nests too deeply"),
-], ids=["states-not-a-list", "undeclared-init", "deep-nesting"])
+    (EXAMPLE_A_JSON.replace('  "init": "s0",\n', '  "init": "s0",\n  "init": "s3",\n'),
+     "key 'init' is repeated in one object"),
+], ids=["states-not-a-list", "undeclared-init", "deep-nesting", "repeated-key"])
 def test_verify_rejects_malformed_csa_file(tmp_path, spec_file, synth_dir, capsys, text, message):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

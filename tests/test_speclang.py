@@ -214,3 +214,32 @@ def test_well_posed_requires_strict_alternation_of_pairs():
     # Sources alternate but the dialogue drifts to a third car.
     tree = Seq(GlobalEvent("e1", "A", "B"), Leaf(GlobalEvent("e2", "B", "C"), 0.5))
     assert not well_posed(tree).ok
+
+
+@pytest.mark.parametrize("body, message", [
+    ("(a A->B . b B->A : 0.5) | a A->B . c B->A : 0.6",
+     "alternatives at the root both begin with event 'a A->B'; write it once, before the '|'"),
+    ("a A->B . ((b B->A . c A->B : 0.4) | b B->A . d A->B : 0.4)",
+     "alternatives after path 'a' both begin with event 'b B->A'; write it once, before the '|'"),
+    # A whole alternative repeated, under a different requirement.
+    ("(e0 A->B . e1 B->A : 0.9) | e0 A->B . e1 B->A : 0.5",
+     "alternatives at the root both begin with event 'e0 A->B'; write it once, before the '|'"),
+    # Through nested disjunctions: a.b and a.c are two levels apart.
+    ("((a A->B . b B->A : 0.5) | (c A->B . b B->A : 0.5)) | "
+     "((d A->B . b B->A : 0.5) | (a A->B . c B->A : 0.3))",
+     "alternatives at the root both begin with event 'a A->B'; write it once, before the '|'"),
+    ("x A->B . (y B->A . ((u A->B . v B->A : 0.1) | (w A->B . v B->A : 0.2) | u A->B . z B->A : 0.3))",
+     "alternatives after path 'x.y' both begin with event 'u A->B'; write it once, before the '|'"),
+], ids=["at-the-root", "after-a", "repeated-alternative", "nested-at-the-root", "nested-after-x.y"])
+def test_well_posed_rejects_alternatives_that_begin_alike(body, message):
+    report = well_posed(parse_spec(f"delta 0.3; cars A B; {body}").protocol)
+    assert [v.message for v in report.violations] == [message]
+
+
+def test_well_posed_accepts_alternatives_that_begin_differently():
+    # The factored form of the first rejected body above.
+    assert well_posed(parse_spec("delta 0.3; cars A B; a A->B . (b B->A : 0.5 | c B->A : 0.6)")
+                      .protocol).ok
+    # The same name with other data is another event.
+    assert well_posed(parse_spec("delta 0.3; cars A B; (a A->B(x) . b B->A : 0.5) | "
+                                 "a A->B(y) . b B->A : 0.5").protocol).ok

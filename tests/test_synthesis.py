@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,8 @@ from protoforge import (
     Or,
     Seq,
     SysCond,
+    export_dot,
+    export_json,
     isomorphic,
     parse_spec,
     synthesize_all,
@@ -143,3 +146,50 @@ def test_missing_bound(example_spec):
     bounds.pop(next(iter(bounds)))
     with pytest.raises(MissingBound):
         synthesize_for_car(example_spec.protocol, "A", bounds)
+
+
+# SHA-256 of (export_json, export_dot) per car for two specifications with a
+# disjunction nested inside another, one of them between two pairs of cars.
+GOLDEN_NESTED = [
+    ("delta 0.3; cars A B C; (a A->B . (b B->A : 0.5 | c B->A . d A->B : 0.4)) | "
+     "e B->A . f A->B : 0.3", {
+         "A": ("e7cd0c80924aa1723527363bd43b04f49d585b52b08700b7701b997ba9d35105",
+               "92aece0257c0eb640379e5c979bd3c443b8821933e51bc270cec9593c16738b8"),
+         "B": ("c1869c9e8269c34ce1bba09c1264d602d91ab941b3cfb421047a0efaa9f02efc",
+               "799cf91533a6a195231b8e6eef29bc837bcd71cdc33596a93a5349471cde5b7a"),
+         "C": ("51113b85e62e1f02aff2d5f0d2c15387704914a4a267949de5a4f1891ad7f4ff",
+               "e97b8e189f06700948f7ea23431e361f7bfce1ba6343b34cd3a17a790b9f2240"),
+     }),
+    ("delta 0.3; cars A B C; (a A->C . (b C->A : 0.5 | c C->A . d A->C : 0.5)) | "
+     "e B->C . f C->B : 0.5", {
+         "A": ("b97e49088313b20958aedcf935e3e4c6c83eae915c888d9224cbb1ec7bbbb584",
+               "afcc531f0d374b8cd9dc19ecc29f6d43c849e52031dcf2fdcc32d02568891bc6"),
+         "B": ("0225a1281386c561f602beffa6ed7964b79adbb3e3f6cab946ff4787d72dc8be",
+               "a5b8b206b290a4d0e82bcebd4b5fa97ebecad954c207b51c6691077db152da2d"),
+         "C": ("f47e66a22969c43b7f9e1735840fb9234c9222577a9876dbc7c8256c9275c3a4",
+               "87df91e03c9ba780bc6d7e96ad046e69ce503672fcc96dc3c578111dd00fc209"),
+     }),
+]
+
+
+@pytest.mark.parametrize("text, digests", GOLDEN_NESTED, ids=["one-pair", "two-pairs"])
+def test_synthesis_golden_files_with_nested_disjunctions(text, digests):
+    csas = synthesize_all(parse_spec(text)).csas
+    got = {car: tuple(hashlib.sha256(export(csa).encode()).hexdigest()
+                      for export in (export_json, export_dot))
+           for car, csa in csas.items()}
+    assert got == digests
+
+
+@pytest.mark.parametrize("text", [
+    "delta 0.3; cars A B; (a A->B . b B->A : 0.5) | a A->B . c B->A : 0.6",
+    "delta 0.3; cars A B; a A->B . ((b B->A . c A->B : 0.4) | b B->A . d A->B : 0.4)",
+])
+def test_alternatives_that_begin_alike_are_not_synthesized(text):
+    # Both alternatives would need a transition on the same label from the
+    # same state, and one of them would be lost.
+    full = parse_spec(text)
+    bounds = {e: 1 for e in events_of(full.protocol)}
+    for car in full.cars:
+        with pytest.raises(NotWellPosed, match="both begin with event"):
+            synthesize_for_car(full.protocol, car, bounds)

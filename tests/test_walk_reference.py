@@ -1,11 +1,11 @@
 """Monte Carlo against a plain reference walk.
 
-`run_monte_carlo` walks next-medium-node tables and rebuilds traces
-afterwards.  The reference here steps the raw execution engine one
-configuration at a time, draws one number at every medium decision and
-builds the deduced sequence as it goes, the way the global rules read.
-Both must give the same outcome, deduced sequence and final states for every
-run of every seed.
+`run_monte_carlo` walks next-medium-node tables for untraced runs and steps
+its engine for traced ones.  The reference here steps the raw execution
+engine one configuration at a time, draws one number at every medium decision
+and builds the deduced sequence as it goes, the way the global rules read.
+All three must give the same outcome, deduced sequence and final states for
+every run of every seed.
 Building the tables must also explore no more configurations than the exact
 check does.
 """
@@ -25,7 +25,7 @@ from protoforge import (
 )
 from protoforge.semantics import _DEAD, _Engine, _Graph, _Tables
 from protoforge.speclang import GlobalEvent, events_of
-from conftest import medium_loop_csas
+from conftest import medium_loop_csas, random_dialogue
 
 # The three `simulate` specifications of the benchmark, with its fixed bounds.
 BENCH_SPECS = (
@@ -110,6 +110,18 @@ def test_walk_matches_reference_on_bench_specs(case, drop_prob, seed, runs):
 @given(seed=st.integers(-10**6, 10**6), runs=st.integers(1, 60))
 def test_walk_matches_reference_on_a_retry_loop(seed, runs):
     assert_agrees(medium_loop_csas(), 0.5, (GlobalEvent("e0", "A", "B"),), runs, seed)
+
+
+def test_walk_matches_reference_on_random_dialogues():
+    rng = random.Random(15)
+    for _ in range(30):
+        tree = random_dialogue(rng)
+        bounds = {e: rng.randint(0, 3) for e in events_of(tree)}
+        csas = [synthesize_for_car(tree, car, bounds) for car in ("A", "B")]
+        for pseq in enumerate_sequences(tree):
+            for drop_prob in (0.0, 0.35, 0.5, 1.0):
+                assert_agrees(csas, drop_prob, pseq.events, rng.randint(1, 30),
+                              rng.randint(-10**6, 10**6))
 
 
 CHAIN8 = ("delta 0.6; cars A B; "

@@ -35,6 +35,13 @@ nondecreasing total sum (lexicographic within a sum), and a partial vector is
 pruned when it fails some constraint even with its unassigned variables at
 top.  Infeasibility is reported either analytically via the supremum
 rho/(1 - d*rho) or as an infeasible all-cap vector.
+
+Two module-level LRU tables, each bounded at 2^16 entries, hold the values of
+P: `_levels` per (suffix, d), and `_sync_prob` per (bound vector, d), so the
+closed form runs once per bound pair and d.  The solver projects each
+candidate vector onto each sequence once, through one `itemgetter` per
+sequence built when the solve starts, and stops at the first requirement the
+candidate misses.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence, Union
 
 from .errors import NotWellPosed, SequenceTooShort
@@ -99,7 +107,10 @@ def _levels(rest: tuple, d: float) -> array:
     return out
 
 
+@lru_cache(maxsize=1 << 16)
 def _sync_prob(bounds: tuple, d: float) -> float:
+    # Memoised per bound vector and d: the search projects many candidates
+    # onto the same pair, and the closed form costs O(n1) per call.
     if len(bounds) == 2:
         return sync_prob_two(bounds[0], bounds[1], d)
     return _levels(bounds, d)[-1]
@@ -182,11 +193,15 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
                 reason=f"sequence '{names}' requires {p} but no bounds can exceed {sup:.6g}",
             )
 
-    def value(vec, idxs):
-        return _sync_prob(tuple(vec[i] for i in idxs), drop_prob)
+    # One projection per constraint, built once: well_posed rejects
+    # one-event sequences, so each projection returns a tuple of bounds.
+    checks = [(itemgetter(*idxs), p) for idxs, p in constraints]
 
     def feasible(vec):
-        return all(value(vec, idxs) >= p for idxs, p in constraints)
+        for project, p in checks:
+            if not _sync_prob(project(vec), drop_prob) >= p:
+                return False
+        return True
 
     # The zero vector is the unique total-0 candidate (and the answer at drop
     # probability 0); the search below would also return it, but only after

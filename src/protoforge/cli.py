@@ -239,7 +239,7 @@ def _int_at_least(low: int):
 # call and never mutates the parser, the subcommand defaults are constant,
 # `prog` is fixed, and help and usage text are formatted when printed (at the
 # terminal width of that moment), so every call sees what a new parser would.
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="protoforge", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)

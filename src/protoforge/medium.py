@@ -8,16 +8,20 @@ which grows from 1/(1 + a) at r = 0 toward 1 under load.
 
 `feasibility_sweep` solves the bounds once per distinct delta: delta depends
 only on r, and many grid points share an r (the default 1000-point grid of
-the CLI has 199 distinct deltas).
+the CLI has 199 distinct deltas).  It reads each axis once into a list and
+validates the axes, not the points: every `MediumParams` check bounds one
+field from below, so len(N) + len(d_max) + len(tau_min) parameter sets find
+the grid's first invalid point, and they are all checked before the first
+solve.  Rows are NamedTuples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .bounds import BoundsResult, Infeasible, _constraints, _solve
+from .bounds import Infeasible, _constraints, _solve
 from .errors import InvalidParams
 from .speclang import SpecNode
 
@@ -47,16 +51,23 @@ class MediumParams:
 
     @property
     def rate(self) -> float:
-        return (self.n_cars - 2) * self.d_max / self.tau_min
+        return _rate(self.n_cars, self.d_max, self.tau_min)
+
+
+def _rate(n_cars, d_max, tau_min) -> float:
+    return (n_cars - 2) * d_max / tau_min
+
+
+def _logistic(rate, a, b) -> float:
+    return 1.0 / (1.0 + a * math.exp(-b * rate))
 
 
 def drop_prob(params: MediumParams) -> float:
     """Drop probability 1 / (1 + a * exp(-b * r)); always strictly inside (0, 1)."""
-    return 1.0 / (1.0 + params.a * math.exp(-params.b * params.rate))
+    return _logistic(params.rate, params.a, params.b)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     n_cars: int
     d_max: float
     tau_min: float
@@ -74,30 +85,43 @@ def feasibility_sweep(
     cap: int = 512,
 ) -> list[SweepRow]:
     """Realizability of the specification at every grid point, in grid order."""
+    grid_n, grid_dmax, grid_tau = list(grid_n), list(grid_dmax), list(grid_tau)
     events, constraints = _constraints(spec)
+    if grid_n and grid_dmax and grid_tau:
+        _check_axes(grid_n, grid_dmax, grid_tau)
     # `_solve` is a pure function of delta once the constraints and the cap
-    # are fixed, so grid points with equal deltas share one solve.
-    solved_at: dict[float, BoundsResult] = {}
+    # are fixed, so grid points with equal deltas share one solve and its
+    # (realizable, sum_bounds).
+    outcome_at: dict[float, tuple] = {}
     rows = []
     for n in grid_n:
         for dm in grid_dmax:
             for tau in grid_tau:
-                params = MediumParams(n, dm, tau)
-                delta = drop_prob(params)
-                solved = solved_at.get(delta)
-                if solved is None:
-                    solved = solved_at[delta] = _solve(events, constraints, delta, cap)
-                ok = not isinstance(solved, Infeasible)
-                rows.append(SweepRow(
-                    n_cars=n,
-                    d_max=dm,
-                    tau_min=tau,
-                    rate=params.rate,
-                    delta=delta,
-                    realizable=ok,
-                    sum_bounds=sum(solved.values()) if ok else None,
-                ))
+                rate = _rate(n, dm, tau)
+                delta = _logistic(rate, SIGMOID_SCALE, SIGMOID_RATE)
+                outcome = outcome_at.get(delta)
+                if outcome is None:
+                    solved = _solve(events, constraints, delta, cap)
+                    ok = not isinstance(solved, Infeasible)
+                    outcome = outcome_at[delta] = (ok, sum(solved.values()) if ok else None)
+                ok, sum_bounds = outcome
+                rows.append(SweepRow(n, dm, tau, rate, delta, ok, sum_bounds))
     return rows
+
+
+def _check_axes(grid_n: list, grid_dmax: list, grid_tau: list):
+    # Raises what MediumParams raises at the first invalid point in grid
+    # order.  Each of its checks bounds one field, so with the first N and
+    # d_max valid that point is (N[0], d_max[0], the first invalid tau), else
+    # (N[0], the first invalid d_max, tau[0]), else (the first invalid N,
+    # d_max[0], tau[0]); the first tau tried is the grid's first point.
+    n0, dm0, tau0 = grid_n[0], grid_dmax[0], grid_tau[0]
+    for tau in grid_tau:
+        MediumParams(n0, dm0, tau)
+    for dm in grid_dmax:
+        MediumParams(n0, dm, tau0)
+    for n in grid_n:
+        MediumParams(n, dm0, tau0)
 
 
 def sweep_csv(rows: Iterable[SweepRow]) -> str:

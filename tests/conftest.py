@@ -1,6 +1,11 @@
+import importlib
+import pkgutil
 import random
+import sys
 
 import pytest
+
+import protoforge
 
 from protoforge import (
     BroadcastCond,
@@ -24,7 +29,24 @@ from protoforge import (
 )
 
 EXAMPLE_TEXT = "delta 0.35; cars A B; snd A->B(d) . (ack B->A : 0.7 | nack B->A : 0.8)"
+MIXED_TEXT = "delta 0.2; cars A B; a A->B(d) . (b B->A : 0.6 | c B->A . d A->B : 0.5)"
 CHAIN3_TEXT = "delta 0.3; cars A B; e1 A->B(d) . e2 B->A . e3 A->B : 0.5"
+
+
+def memo_tables() -> dict:
+    """Every functools cache at module level in protoforge, by qualified name,
+    found as bench/run.py's clear_memo_tables finds them."""
+    for info in pkgutil.iter_modules(protoforge.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"protoforge.{info.name}")
+    tables = {}
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "protoforge" or name.startswith("protoforge.")):
+            continue
+        for value in vars(mod).values():
+            if callable(getattr(value, "cache_clear", None)):
+                tables.setdefault(f"{value.__module__}.{value.__qualname__}", value)
+    return tables
 
 
 def criterion(number, title):

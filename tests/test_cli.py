@@ -454,6 +454,9 @@ def _grid_must_have(grid, what):
     # Grid points outside the medium's domain are malformed input too.
     ("--grid-n", "1:3:1", "need at least two cars, got 1"),
     ("--grid-tau", "0:0:1", "minimum delay must be positive, got 0.0"),
+    # An invalid first value before valid ones: checked before any solve.
+    ("--grid-n", "1:5:1", "need at least two cars, got 1"),
+    ("--grid-tau", "0:5:1", "minimum delay must be positive, got 0.0"),
 ])
 def test_feasible_rejects_malformed_grids(spec_file, capsys, flag, grid, message):
     code, out, err = run(capsys, ["feasible", "--spec", str(spec_file), flag, grid])

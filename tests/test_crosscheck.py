@@ -33,7 +33,7 @@ from protoforge import (
 )
 from protoforge.semantics import BroadcastItem, EnvItem, RecvItem, SysItem, TimeoutItem
 from protoforge.speclang import events_of
-from conftest import EXAMPLE_TEXT, random_dialogue
+from conftest import EXAMPLE_TEXT, MIXED_TEXT, random_dialogue
 
 
 def _actors(rho):
@@ -203,9 +203,6 @@ def test_solver_matches_uncapped_brute_force_on_chains(length, delta, p):
         f"e{i} {'A->B' if i % 2 == 0 else 'B->A'}" for i in range(length))
     tree = parse_spec(f"delta {delta}; cars A B; {events} : {p}").protocol
     assert _check_against_brute_force(tree, delta)
-
-
-MIXED_TEXT = "delta 0.2; cars A B; a A->B(d) . (b B->A : 0.6 | c B->A . d A->B : 0.5)"
 
 
 def test_mixed_depth_dialogue_end_to_end():

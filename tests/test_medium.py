@@ -14,13 +14,13 @@ from protoforge import (
     solve_opt,
     sweep_csv,
 )
+from conftest import MIXED_TEXT, memo_tables
 
 # The CLI's default grid (1000 points) and a 16-point grid for a tree whose
 # two sequences have different lengths.
 DEFAULT_GRID = (
     list(range(2, 12)), [100.0 * k for k in range(1, 11)], [float(k) for k in range(1, 11)]
 )
-MIXED_TEXT = "delta 0.2; cars A B; a A->B(d) . (b B->A : 0.6 | c B->A . d A->B : 0.5)"
 MIXED_GRID = ([2, 5, 8, 11], [100.0, 1000.0], [1.0, 10.0])
 
 
@@ -158,3 +158,76 @@ def test_sweep_rows_match_a_solve_per_point(example_spec, text, grid):
         solved = solve_opt(spec, row.delta)
         ok = not isinstance(solved, Infeasible)
         assert (row.realizable, row.sum_bounds) == (ok, sum(solved.values()) if ok else None)
+
+
+def test_sweep_reads_iterator_axes_once(example_spec):
+    grid = ([2, 3], [100.0, 200.0], [1.0, 2.0])
+    rows = feasibility_sweep(example_spec.protocol, *(iter(axis) for axis in grid))
+    assert len(rows) == 8
+    assert rows == feasibility_sweep(example_spec.protocol, *grid)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2], ids=["n", "dmax", "tau"])
+def test_sweep_returns_no_rows_for_an_empty_axis(example_spec, axis):
+    # No point, so nothing to validate: the other axes may hold invalid values.
+    grid = [[1, 2], [-1.0, 100.0], [0.0, 1.0]]
+    grid[axis] = []
+    assert feasibility_sweep(example_spec.protocol, *grid) == []
+
+
+def _first_point_error(grid):
+    # What MediumParams raises at the first invalid point, in grid order.
+    for point in itertools.product(*grid):
+        try:
+            MediumParams(*point)
+        except InvalidParams as exc:
+            return str(exc)
+    return None
+
+
+AXES = ([2, 3, 4], [0.0, 100.0, 200.0], [1.0, 2.0, 3.0])
+REJECTED = (1, -1.0, 0.0)  # one value per axis outside its domain
+
+
+@pytest.mark.parametrize("grid", [
+    tuple([REJECTED[a] if (a, i) == (axis, pos) else v for i, v in enumerate(AXES[a])]
+          for a in range(3))
+    for axis in range(3) for pos in range(3)
+] + [
+    # Invalid values on several axes, in no order: the error names the first
+    # invalid point in grid order, as checking every point would.
+    ([3, 1, 0], [100.0, -5.0], [2.0, 0.0, -1.0]),
+    ([3, 1], [100.0, -5.0], [2.0, 4.0]),
+    ([3, 1], [-5.0, 100.0], [2.0, -1.0]),
+    ([0, 3], [-5.0, 100.0], [-1.0, 2.0]),
+    ([5, 2, 1], [10.0], [3.0, 1.0, 0.5]),
+])
+def test_sweep_rejects_an_invalid_value_anywhere_before_any_solve(example_spec, monkeypatch, grid):
+    expected = _first_point_error(grid)
+    assert expected is not None
+    solves = []
+    monkeypatch.setattr(medium, "_solve", lambda *args: solves.append(args))
+    with pytest.raises(InvalidParams) as info:
+        feasibility_sweep(example_spec.protocol, *grid)
+    assert str(info.value) == expected
+    assert solves == []
+
+
+def test_default_grid_sweep_computes_each_closed_form_once(example_spec, monkeypatch):
+    # Counts work rather than time.  With the solver's memo tables cold, the
+    # sweep computes the two-event closed form once per distinct (n1, n2,
+    # delta); without a memo on bounds._sync_prob it computes it 2,462 times.
+    from protoforge import bounds
+
+    for table in memo_tables().values():
+        table.cache_clear()
+    closed_form = bounds.sync_prob_two
+    calls = []
+
+    def counted(n1, n2, d):
+        calls.append((n1, n2, d))
+        return closed_form(n1, n2, d)
+
+    monkeypatch.setattr(bounds, "sync_prob_two", counted)
+    feasibility_sweep(example_spec.protocol, *DEFAULT_GRID)
+    assert len(calls) == len(set(calls)) == 974

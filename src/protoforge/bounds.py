@@ -37,11 +37,12 @@ top.  Infeasibility is reported either analytically via the supremum
 rho/(1 - d*rho) or as an infeasible all-cap vector.
 
 Two module-level LRU tables, each bounded at 2^16 entries, hold the values of
-P: `_levels` per (suffix, d), and `_sync_prob` per (bound vector, d), so the
-closed form runs once per bound pair and d.  The solver projects each
-candidate vector onto each sequence once, through one `itemgetter` per
-sequence built when the solve starts, and stops at the first requirement the
-candidate misses.
+P: `_levels` per (suffix, d), whose last entry is P of a sequence of three or
+more events, and `_sync_prob` per (bound pair, d) for two-event sequences, so
+the closed form runs once per bound pair and d.  The solver projects each
+candidate vector onto each sequence once, through one `itemgetter` and one of
+those two evaluators per sequence, both picked when the solve starts, and
+stops at the first requirement the candidate misses.
 """
 
 from __future__ import annotations
@@ -109,10 +110,14 @@ def _levels(rest: tuple, d: float) -> array:
 
 @lru_cache(maxsize=1 << 16)
 def _sync_prob(bounds: tuple, d: float) -> float:
-    # Memoised per bound vector and d: the search projects many candidates
-    # onto the same pair, and the closed form costs O(n1) per call.
-    if len(bounds) == 2:
-        return sync_prob_two(bounds[0], bounds[1], d)
+    # P of a two-event sequence, memoised per bound pair and d: the search
+    # projects many candidates onto the same pair, and the closed form costs
+    # O(n1) per call.
+    return sync_prob_two(bounds[0], bounds[1], d)
+
+
+def _last_level(bounds: tuple, d: float) -> float:
+    # P of a sequence of three or more events: `_levels` already memoises it.
     return _levels(bounds, d)[-1]
 
 
@@ -123,7 +128,8 @@ def sync_prob(bounds: Sequence[int], drop_prob: float) -> float:
     if any(n < 0 for n in bounds):
         raise ValueError("retransmission bounds must be nonnegative")
     _check_delta(drop_prob)
-    return _sync_prob(tuple(bounds), drop_prob)
+    bounds = tuple(bounds)
+    return _sync_prob(bounds, drop_prob) if len(bounds) == 2 else _last_level(bounds, drop_prob)
 
 
 def sup_sync_prob_two(drop_prob: float) -> float:
@@ -193,13 +199,15 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
                 reason=f"sequence '{names}' requires {p} but no bounds can exceed {sup:.6g}",
             )
 
-    # One projection per constraint, built once: well_posed rejects
-    # one-event sequences, so each projection returns a tuple of bounds.
-    checks = [(itemgetter(*idxs), p) for idxs, p in constraints]
+    # One projection and one evaluator per constraint, built once:
+    # well_posed rejects one-event sequences, so each projection returns a
+    # tuple of at least two bounds.
+    checks = [(itemgetter(*idxs), _sync_prob if len(idxs) == 2 else _last_level, p)
+              for idxs, p in constraints]
 
     def feasible(vec):
-        for project, p in checks:
-            if not _sync_prob(project(vec), drop_prob) >= p:
+        for project, prob, p in checks:
+            if not prob(project(vec), drop_prob) >= p:
                 return False
         return True
 
@@ -264,7 +272,9 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
             vec[j] = 0
             return False
 
-        return vec if go(0, total) else None
+        found = go(0, total)
+        del go  # go refers to itself; breaking the cycle frees it on return
+        return vec if found else None
 
     total = suffix_min[0]
     while total <= top * k:

@@ -34,7 +34,7 @@ from typing import Iterator
 
 from . import bounds as bounds_mod
 from . import medium as medium_mod
-from .csa import export_dot, export_json, import_json
+from .csa import export_dot, export_json, import_json, json_text
 from .errors import (
     DivergenceDetected,
     InvalidParams,
@@ -109,7 +109,7 @@ def cmd_synth(args) -> int:
         if "dot" in formats:
             (out / f"{car}.dot").write_text(export_dot(csa))
     named = bounds_by_name(full.protocol, result.bounds)
-    (out / "bounds.json").write_text(json.dumps(named, indent=2) + "\n")
+    (out / "bounds.json").write_text(json_text(named))
     print(f"synthesized {len(full.cars)} automata into {out}")
     for name, n in named.items():
         print(f"  bound {name}: {n}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 CounterVar = str
@@ -332,6 +333,10 @@ def _get(obj, key: str, typ: type, optional: bool = False):
     """obj[key] if obj is a JSON object holding a value of exactly type typ (so
     a boolean is not an integer), else ValueError; an optional key may be
     absent or null, giving None."""
+    if type(obj) is dict:  # what a well-formed file holds: one lookup
+        value = obj.get(key)
+        if type(value) is typ or (value is None and optional):
+            return value
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object holding {key!r}, got {type(obj).__name__}")
     value = obj.get(key)
@@ -409,7 +414,55 @@ def export_json(csa: Csa) -> str:
             for (src, label), dst in ordered_transitions(csa)
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    return json_text(doc)
+
+
+def _write(value, nl: str, out: list) -> None:
+    # Append value's text to out; nl is the line break and indent of the
+    # line that value starts on.
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(f"{sep}{_quote(key)}: ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_text(doc) -> str:
+    """doc as `json.dumps(doc, indent=2) + "\\n"` writes it, byte for byte, for a
+    document of dicts with string keys, lists, strings, booleans and ints.
+
+    The stdlib runs its pure-Python encoder whenever it indents; this writer
+    quotes strings with the C encoder instead.
+    """
+    out = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _object(pairs: list) -> dict:

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -45,6 +46,26 @@ def test_check_realizable(spec_file, capsys):
     assert "realizable: yes" in out
     assert "bound snd: 3" in out and "bound ack: 1" in out and "bound nack: 2" in out
     assert "total: 6" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["synth", "--out", "{out}"], ["verify", "{A}", "{B}"],
+    ["simulate", "{A}", "{B}", "--runs", "100"], ["feasible", "--grid-n", "2:4:1"],
+], ids=["check", "synth", "verify", "simulate", "feasible"])
+def test_commands_leave_no_reference_cycles(tmp_path, spec_file, synth_dir, capsys, command):
+    # What sits in a reference cycle is freed only when the cyclic collector
+    # next runs, which depends on how much else the process allocates: the
+    # peak memory of a long-lived caller would then move with unrelated code.
+    argv = [arg.format(out=tmp_path / "out", A=synth_dir / "A.json", B=synth_dir / "B.json")
+            for arg in command] + ["--spec", str(spec_file)]
+    assert run(capsys, argv)[0] == 0  # builds the parser, which lives on
+    gc.collect()
+    gc.disable()
+    try:
+        run(capsys, argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_check_ill_posed(tmp_path, capsys):
@@ -550,7 +571,16 @@ def test_dead_flags_are_gone(spec_file, capsys, argv):
     ("[" * 100_000 + "]" * 100_000, "CSA file nests too deeply"),
     (EXAMPLE_A_JSON.replace('  "init": "s0",\n', '  "init": "s0",\n  "init": "s3",\n'),
      "key 'init' is repeated in one object"),
-], ids=["states-not-a-list", "undeclared-init", "deep-nesting", "repeated-key"])
+    (EXAMPLE_A_JSON.replace('"bound": 3', '"bound": true', 1),
+     "transition 1: 'bound' must be of type int, got true"),
+    (EXAMPLE_A_JSON.replace('"final": false', '"final": 1', 1),
+     "'final' must be of type bool, got 1"),
+    (EXAMPLE_A_JSON.replace('"owner": "A"', '"owner": null'),
+     "'owner' must be of type str, got null"),
+    (json.dumps(dict(json.loads(EXAMPLE_A_JSON), transitions=[["s0", "s1"]])),
+     "transition 0: expected an object holding 'from', got list"),
+], ids=["states-not-a-list", "undeclared-init", "deep-nesting", "repeated-key", "bool-as-int",
+        "int-as-bool", "null-owner", "transition-not-an-object"])
 def test_verify_rejects_malformed_csa_file(tmp_path, spec_file, synth_dir, capsys, text, message):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -560,6 +590,31 @@ def test_verify_rejects_malformed_csa_file(tmp_path, spec_file, synth_dir, capsy
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_verify_accepts_null_optional_keys(tmp_path, spec_file, synth_dir, capsys):
+    # A null optional key reads as an absent one: the same automaton.
+    def with_nulls(obj):
+        # obj with null for each optional key its events and messages omit.
+        if isinstance(obj, list):
+            return [with_nulls(value) for value in obj]
+        if not isinstance(obj, dict):
+            return obj
+        out = {key: with_nulls(value) for key, value in obj.items()}
+        if "peer" in out:
+            return {"data": None, "special": None, **out}
+        if "src" in out:
+            return {"data": None, **out}
+        return out
+
+    doc = with_nulls(json.loads(EXAMPLE_A_JSON))
+    assert '"data": null' in json.dumps(doc) and '"special": null' in json.dumps(doc)
+    nulls = tmp_path / "nulls.json"
+    nulls.write_text(json.dumps(doc))
+    rest = [str(synth_dir / "B.json"), "--spec", str(spec_file)]
+    expected = run(capsys, ["verify", str(synth_dir / "A.json"), *rest])
+    assert expected[0] == 0
+    assert run(capsys, ["verify", str(nulls), *rest]) == expected
 
 
 @pytest.mark.parametrize("command", [["verify"], ["simulate", "--runs", "10"]],

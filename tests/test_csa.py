@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from protoforge import (
     BroadcastCond,
@@ -22,6 +24,7 @@ from protoforge import (
     synthesize_for_car,
     validate,
 )
+from protoforge.csa import _label_to_json, json_text, ordered_transitions
 from protoforge.speclang import events_of
 from conftest import reference_receiver, reference_sender, random_dialogue
 
@@ -238,6 +241,72 @@ def test_each_label_kind_has_one_file_and_dot_form(label, text, dot):
         assert load_with(label_doc) == f"transition 0: missing key {key!r}"
     assert load_with(dict(json.loads(text), kind="x")) == (
         "transition 0: unknown transition kind 'x'")
+
+
+def reference_json(csa: Csa) -> str:
+    # The file as the stdlib's indenting encoder writes export_json's document.
+    doc = {
+        "owner": csa.owner,
+        "states": [{"id": s, "final": s in csa.finals} for s in csa.states],
+        "init": csa.init,
+        "vars": list(csa.vars),
+        "transitions": [
+            {"from": src, "to": dst, "label": _label_to_json(label)}
+            for (src, label), dst in ordered_transitions(csa)
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# Names mix arbitrary text with the characters a JSON writer must escape:
+# quotes, backslashes, control characters and non-ASCII, astral included.
+names = st.text(max_size=6) | st.text('"\\/\x00\x1f\x7f\n\té€\u2028\U0001f697ab', max_size=6)
+optional_names = st.none() | names
+local_events = (
+    st.builds(LocalEvent, names, names, optional_names, st.sampled_from(["env", "sys"]))
+    | st.builds(LocalEvent, names, names, optional_names, st.just("sys"),
+                st.sampled_from(["fail", "success"])))
+messages = st.builds(Message, names, names, names, optional_names)
+conditions = st.builds(Condition, names, st.sampled_from(["<=", ">"]), st.integers(0, 2**70))
+labels = st.one_of(
+    st.builds(EnvEvent, local_events),
+    st.builds(SysCond, local_events, conditions),
+    st.builds(TimeoutSys, local_events),
+    st.builds(TimeoutUpd, names),
+    st.builds(BroadcastCond, messages, conditions),
+    st.builds(RecvSys, messages, local_events),
+    st.builds(RecvUpd, messages, names),
+)
+csas = st.builds(
+    Csa, names, st.lists(names, max_size=5).map(tuple), st.lists(names, max_size=3).map(tuple),
+    names, st.frozensets(names, max_size=3),
+    st.dictionaries(st.tuples(names, labels), names, max_size=6))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(csas)
+@example(Csa("", (), (), "", frozenset(), {}))
+def test_export_json_writes_what_the_stdlib_writes(csa):
+    assert export_json(csa) == reference_json(csa)
+
+
+json_docs = st.recursive(
+    st.booleans() | st.integers() | names,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(names, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(json_docs)
+def test_json_text_writes_what_the_stdlib_writes(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [None, 1.5, (1, 2), {1: "a"}], ids=["null", "float", "tuple",
+                                                                   "int-key"])
+def test_json_text_rejects_what_csa_files_never_hold(doc):
+    with pytest.raises(TypeError):
+        json_text(doc)
 
 
 def test_dot_single_state():

@@ -1,6 +1,6 @@
 import pytest
 
-from protoforge import parse_spec, solve_opt
+from protoforge import bounds, parse_spec, solve_opt
 from conftest import EXAMPLE_TEXT, MIXED_TEXT, memo_tables
 
 
@@ -33,3 +33,24 @@ def test_solve_opt_is_the_same_cold_warm_and_after_each_clear(text):
     for name, table in tables.items():
         table.cache_clear()
         assert solve_opt(full.protocol, full.delta) == cold, name
+
+
+@pytest.mark.parametrize("text", [_chain(4, "0.6", "0.49"), MIXED_TEXT], ids=["chain4", "mixed"])
+def test_pair_memo_holds_only_two_event_sequences(text, monkeypatch):
+    # _levels memoises every longer sequence already: a second copy in
+    # _sync_prob would hold one entry per candidate vector of a long chain.
+    # Each entry of _sync_prob is a pair that the closed form was called on.
+    full = parse_spec(text)
+    for table in memo_tables().values():
+        table.cache_clear()
+    pairs = set()
+    closed_form = bounds.sync_prob_two
+
+    def recorded(n1, n2, d):
+        pairs.add((n1, n2, d))
+        return closed_form(n1, n2, d)
+
+    monkeypatch.setattr(bounds, "sync_prob_two", recorded)
+    solve_opt(full.protocol, full.delta)
+    assert bounds._levels.cache_info().currsize > 0
+    assert bounds._sync_prob.cache_info().currsize == len(pairs)

@@ -121,6 +121,11 @@ def _last_level(bounds: tuple, d: float) -> float:
     return _levels(bounds, d)[-1]
 
 
+def _evaluator(n: int):
+    # The function giving P of an n-event sequence from its bounds and d.
+    return _sync_prob if n == 2 else _last_level
+
+
 def sync_prob(bounds: Sequence[int], drop_prob: float) -> float:
     """Synchronization probability of a sequence with the given per-event bounds."""
     if len(bounds) < 2:
@@ -128,8 +133,7 @@ def sync_prob(bounds: Sequence[int], drop_prob: float) -> float:
     if any(n < 0 for n in bounds):
         raise ValueError("retransmission bounds must be nonnegative")
     _check_delta(drop_prob)
-    bounds = tuple(bounds)
-    return _sync_prob(bounds, drop_prob) if len(bounds) == 2 else _last_level(bounds, drop_prob)
+    return _evaluator(len(bounds))(tuple(bounds), drop_prob)
 
 
 def sup_sync_prob_two(drop_prob: float) -> float:
@@ -202,8 +206,7 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
     # One projection and one evaluator per constraint, built once:
     # well_posed rejects one-event sequences, so each projection returns a
     # tuple of at least two bounds.
-    checks = [(itemgetter(*idxs), _sync_prob if len(idxs) == 2 else _last_level, p)
-              for idxs, p in constraints]
+    checks = [(itemgetter(*idxs), _evaluator(len(idxs)), p) for idxs, p in constraints]
 
     def feasible(vec):
         for project, prob, p in checks:
@@ -272,9 +275,7 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
             vec[j] = 0
             return False
 
-        found = go(0, total)
-        del go  # go refers to itself; breaking the cycle frees it on return
-        return vec if found else None
+        return vec if go(0, total) else None
 
     total = suffix_min[0]
     while total <= top * k:

@@ -333,20 +333,14 @@ def _get(obj, key: str, typ: type, optional: bool = False):
     """obj[key] if obj is a JSON object holding a value of exactly type typ (so
     a boolean is not an integer), else ValueError; an optional key may be
     absent or null, giving None."""
-    if type(obj) is dict:  # what a well-formed file holds: one lookup
-        value = obj.get(key)
-        if type(value) is typ or (value is None and optional):
-            return value
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object holding {key!r}, got {type(obj).__name__}")
     value = obj.get(key)
-    if value is None and optional:
-        return None
+    if type(value) is typ or (value is None and optional):
+        return value
     if key not in obj:
         raise ValueError(f"missing key {key!r}")
-    if type(value) is not typ:
-        raise ValueError(f"{key!r} must be of type {typ.__name__}, got {json.dumps(value)}")
-    return value
+    raise ValueError(f"{key!r} must be of type {typ.__name__}, got {json.dumps(value)}")
 
 
 def _event_from_json(obj: dict) -> LocalEvent:

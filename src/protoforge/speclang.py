@@ -111,15 +111,18 @@ class FullSpec:
 def events_of(spec: SpecNode) -> list[GlobalEvent]:
     """All distinct events of the tree, in depth-first first-occurrence order."""
     seen: dict[GlobalEvent, None] = {}
-    todo = [spec]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, Or):
-            todo += (node.right, node.left)
-        else:
+
+    def walk(node):
+        if isinstance(node, Leaf):
             seen.setdefault(node.event)
-            if isinstance(node, Seq):
-                todo.append(node.rest)
+        elif isinstance(node, Seq):
+            seen.setdefault(node.event)
+            walk(node.rest)
+        else:
+            walk(node.left)
+            walk(node.right)
+
+    walk(spec)
     return list(seen)
 
 
@@ -351,15 +354,17 @@ def enumerate_sequences(spec: SpecNode) -> list[PSequence]:
     from the root to a leaf and p is that leaf's annotation.
     """
     out: dict[PSequence, None] = {}
-    todo = [(spec, ())]
-    while todo:
-        node, prefix = todo.pop()
+
+    def walk(node, prefix):
         if isinstance(node, Leaf):
             out.setdefault(PSequence(prefix + (node.event,), node.p))
         elif isinstance(node, Seq):
-            todo.append((node.rest, prefix + (node.event,)))
+            walk(node.rest, prefix + (node.event,))
         else:
-            todo += ((node.right, prefix), (node.left, prefix))
+            walk(node.left, prefix)
+            walk(node.right, prefix)
+
+    walk(spec, ())
     return list(out)
 
 
@@ -406,6 +411,19 @@ def well_posed(spec: SpecNode) -> WellPosednessReport:
     event's destination and vice versa.
     """
     violations = []
+
+    def starts(node, path):
+        # The events that begin node's alternatives; reports those two share.
+        if isinstance(node, Seq):
+            starts(node.rest, path + (node.event,))
+        if not isinstance(node, Or):
+            return {node.event: None}
+        left, right = starts(node.left, path), starts(node.right, path)
+        where = f"after path '{'.'.join(e.name for e in path)}'" if path else "at the root"
+        violations.extend(Violation(path, f"alternatives {where} both begin with event '{e}'; "
+                                          "write it once, before the '|'") for e in left if e in right)
+        return {**left, **right}
+
     for pseq in enumerate_sequences(spec):
         events = pseq.events
         names = ".".join(e.name for e in events)
@@ -424,19 +442,5 @@ def well_posed(spec: SpecNode) -> WellPosednessReport:
                     f"({cur.src}->{cur.dst} is followed by {nxt.src}->{nxt.dst}; the "
                     "two ASCs must take turns triggering)",
                 ))
-    _starts(spec, (), violations)
+    starts(spec, ())
     return WellPosednessReport(ok=not violations, violations=tuple(violations))
-
-
-def _starts(node: SpecNode, path: tuple, violations: list) -> dict:
-    # The events that begin node's alternatives (as keys); reports to
-    # violations each event that begins both sides of one '|' within node.
-    if isinstance(node, Seq):
-        _starts(node.rest, path + (node.event,), violations)
-    if not isinstance(node, Or):
-        return {node.event: None}
-    left, right = _starts(node.left, path, violations), _starts(node.right, path, violations)
-    where = f"after path '{'.'.join(e.name for e in path)}'" if path else "at the root"
-    violations.extend(Violation(path, f"alternatives {where} both begin with event '{e}'; "
-                                      "write it once, before the '|'") for e in left if e in right)
-    return {**left, **right}

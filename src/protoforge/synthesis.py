@@ -145,9 +145,6 @@ def synthesize_for_car(spec: SpecNode, car: CarId, bounds: BoundsVector) -> Csa:
         return i + 1
 
     syn(spec, 0, 0, {})
-    # syn refers to itself through its closure; deleting it breaks that cycle,
-    # so the tables it holds are freed on return, not by the cyclic collector.
-    del syn
     states = sorted({0, *trans.values()})  # every state but s0 is entered by a transition
     used = {label_counter(label) for (_, label) in trans}
     return Csa(

@@ -219,18 +219,20 @@ def _label_shape(label: TransitionLabel) -> tuple:
     return shape
 
 
-def _label_ids(label: TransitionLabel):
-    # (counter or None, message id or None) for the renaming bijections.
-    msg = getattr(label, "msg", None)
-    return label_counter(label), msg.id if msg is not None else None
+def _label_ids(label: TransitionLabel) -> list:
+    # The renamed identities of label, as renaming keys: ("m", message id)
+    # and ("v", counter) where it has them.  Labels of one shape have the same.
+    msg, var = getattr(label, "msg", None), label_counter(label)
+    return ([] if msg is None else [("m", msg.id)]) + ([] if var is None else [("v", var)])
 
 
 def isomorphic(a: Csa, b: Csa) -> bool:
     """True when a bijection on states (plus consistent renamings of counters
     and message ids) maps a onto b, preserving init, finals, and transitions.
 
-    Backtracking search with copy-on-extend maps; CSAs are small enough that
-    the copies cost nothing.
+    Backtracking search over one renaming, keyed ("s", state), ("v", counter)
+    and ("m", message id), copied on extend; CSAs are small enough that the
+    copies cost nothing.
     """
     if len(a.states) != len(b.states) or len(a.finals) != len(b.finals):
         return False
@@ -244,76 +246,55 @@ def isomorphic(a: Csa, b: Csa) -> bool:
     for (src, label), dst in b.transitions.items():
         out_b[src].append((label, dst))
 
-    def extend(mapping, x, y):
-        # Injective extension; None signals conflict, the unchanged mapping
-        # signals "nothing to bind".
-        if x is None and y is None:
-            return mapping
-        if x is None or y is None:
-            return None
-        if x in mapping:
-            return mapping if mapping[x] == y else None
-        if y in mapping.values():
-            return None
-        new = dict(mapping)
-        new[x] = y
+    def extend(ren, pairs):
+        # ren with every (x, y) pair bound, or None on a clash: x bound to
+        # another y, y taken, or two states of different finality.
+        new = dict(ren)
+        for x, y in pairs:
+            if x in new:
+                if new[x] != y:
+                    return None
+            elif y in new.values() or x[0] == "s" and (x[1] in a.finals) != (y[1] in b.finals):
+                return None
+            else:
+                new[x] = y
         return new
 
-    def solve(sm, vm, mm, todo):
+    def solve(ren, todo):
         # todo holds mapped state pairs whose outgoing edges still need matching.
         if todo:
             (sa, sb), rest = todo[0], todo[1:]
             ea, eb = out_a[sa], out_b[sb]
-            if len(ea) != len(eb):
-                return False
-            return match_edges(ea, list(eb), sm, vm, mm, rest)
-        if len(sm) == len(a.states):
-            return True
+            return len(ea) == len(eb) and match_edges(ea, list(eb), ren, rest)
         # States unreachable from init must pair up as well.
-        sa = next(s for s in a.states if s not in sm)
-        mapped_b = set(sm.values())
+        sa = next((s for s in a.states if ("s", s) not in ren), None)
+        if sa is None:
+            return True
         for sb in b.states:
-            if sb in mapped_b or (sa in a.finals) != (sb in b.finals):
-                continue
-            new_sm = dict(sm)
-            new_sm[sa] = sb
-            if solve(new_sm, vm, mm, [(sa, sb)]):
+            new = extend(ren, [(("s", sa), ("s", sb))])
+            if new is not None and solve(new, [(sa, sb)]):
                 return True
         return False
 
-    def match_edges(ea, pool, sm, vm, mm, todo):
+    def match_edges(ea, pool, ren, todo):
         if not ea:
-            return solve(sm, vm, mm, todo)
+            return solve(ren, todo)
         (label_a, dst_a), rest = ea[0], ea[1:]
         shape_a = _label_shape(label_a)
-        va, ma = _label_ids(label_a)
+        ids_a = _label_ids(label_a) + [("s", dst_a)]
         for idx, (label_b, dst_b) in enumerate(pool):
             if _label_shape(label_b) != shape_a:
                 continue
-            vb, mb = _label_ids(label_b)
-            new_vm = extend(vm, va, vb)
-            if new_vm is None:
+            new = extend(ren, zip(ids_a, _label_ids(label_b) + [("s", dst_b)]))
+            if new is None:
                 continue
-            new_mm = extend(mm, ma, mb)
-            if new_mm is None:
-                continue
-            if dst_a in sm:
-                if sm[dst_a] != dst_b:
-                    continue
-                new_sm, new_todo = sm, todo
-            else:
-                if dst_b in sm.values() or (dst_a in a.finals) != (dst_b in b.finals):
-                    continue
-                new_sm = dict(sm)
-                new_sm[dst_a] = dst_b
-                new_todo = todo + [(dst_a, dst_b)]
-            if match_edges(rest, pool[:idx] + pool[idx + 1:], new_sm, new_vm, new_mm, new_todo):
+            new_todo = todo if ("s", dst_a) in ren else todo + [(dst_a, dst_b)]
+            if match_edges(rest, pool[:idx] + pool[idx + 1:], new, new_todo):
                 return True
         return False
 
-    if (a.init in a.finals) != (b.init in b.finals):
-        return False
-    return solve({a.init: b.init}, {}, {}, [(a.init, b.init)])
+    ren = extend({}, [(("s", a.init), ("s", b.init))])
+    return ren is not None and solve(ren, [(a.init, b.init)])
 
 
 # ---------------------------------------------------------------------------

@@ -264,9 +264,8 @@ class _Engine:
             if ev.src not in self.car_idx or ev.dst not in self.car_idx:
                 raise ValueError(f"event {ev} references a car with no CSA")
 
-    def initial(self, priority: Optional[str] = None):
-        if priority is None:
-            priority = self.sigma[0].src if self.sigma else self.cars[0]
+    def initial(self):
+        priority = self.sigma[0].src if self.sigma else self.cars[0]
         locals_ = tuple((m.init, (0,) * len(m.vars)) for m in self.machines)
         return (locals_, self.car_idx[priority], _TAIL_OTHER, 0, 0, 0)
 
@@ -407,7 +406,7 @@ class _Graph:
     single successors ends in.  The budget bounds the distinct configs.
     """
 
-    def __init__(self, csas, sigma, drop_prob, budget=None, start_priority=None):
+    def __init__(self, csas, sigma, drop_prob, budget=None):
         self.engine = _Engine(csas, sigma, reduce=True)
         self.drop_prob = drop_prob
         if budget is None:
@@ -415,7 +414,7 @@ class _Graph:
         self.budget = budget
         self.nodes: dict = {}
         self.branching = False  # some node has more than one delivery or free successor
-        self.root = self.node(self.engine.initial(start_priority))
+        self.root = self.node(self.engine.initial())
 
     def node(self, cfg) -> _Node:
         engine, trail = self.engine, {}
@@ -488,7 +487,6 @@ def explore_sync(
     drop_prob: float,
     sigma: Sequence[GlobalEvent],
     budget: Optional[int] = None,
-    start_priority: Optional[str] = None,
 ) -> ExplorationResult:
     """Sum the probabilities of all deductions that synchronize sigma, exactly.
 
@@ -499,7 +497,7 @@ def explore_sync(
     over its successors.  Failure mass is summed alongside; a cycle raises
     DivergenceDetected.  The pass runs in _EXACT on the decimal of drop_prob.
     """
-    graph = _Graph(csas, sigma, drop_prob, budget, start_priority)
+    graph = _Graph(csas, sigma, drop_prob, budget)
     d = Decimal(repr(drop_prob))
     with localcontext(_EXACT):
         rho = 1 - d

@@ -130,66 +130,57 @@ def events_of(spec: SpecNode) -> list[GlobalEvent]:
 # Parsing
 
 
-_PUNCT = (";", "->", ".", ":", "|", "(", ")")
-
-
 @dataclass
 class _Token:
     kind: str  # "ident", "number", or the punctuation itself
     text: str
-    line: int
-    column: int
+    pos: int  # offset in the source text
+
+
+def _where(text: str, pos: int) -> tuple[int, int]:
+    # (line, column) of offset pos, both counted from 1.
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _tokenize(text: str) -> Iterator[_Token]:
-    line, col = 1, 1
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
+        if ch in " \t\r\n":
             i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
             continue
         if ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
             continue
         if text.startswith("->", i):
-            yield _Token("->", "->", line, col)
+            yield _Token("->", "->", i)
             i += 2
-            col += 2
             continue
         if ch in ";.:|()":
-            yield _Token(ch, ch, line, col)
+            yield _Token(ch, ch, i)
             i += 1
-            col += 1
             continue
         if ch.isdigit():
             j = i
             while j < n and (text[j].isdigit() or text[j] == "."):
                 j += 1
-            yield _Token("number", text[i:j], line, col)
-            col += j - i
+            yield _Token("number", text[i:j], i)
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            yield _Token("ident", text[i:j], line, col)
-            col += j - i
+            yield _Token("ident", text[i:j], i)
             i = j
             continue
-        raise SpecSyntaxError(f"unexpected character {ch!r}", line, col)
+        raise SpecSyntaxError(f"unexpected character {ch!r}", *_where(text, i))
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = list(_tokenize(text))
         self.pos = 0
         self.depth = 0  # phi calls under way
@@ -202,9 +193,12 @@ class _Parser:
     def error(self, message: str):
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
-            raise SpecSyntaxError(message + " (at end of input)", last.line, last.column)
-        raise SpecSyntaxError(f"{message}, found {tok.text!r}", tok.line, tok.column)
+            last = self.tokens[-1].pos if self.tokens else 0
+            raise SpecSyntaxError(message + " (at end of input)", *_where(self.text, last))
+        raise SpecSyntaxError(f"{message}, found {tok.text!r}", *self.at(tok))
+
+    def at(self, tok: _Token) -> tuple[int, int]:
+        return _where(self.text, tok.pos)
 
     def take(self, kind: str) -> _Token:
         tok = self.peek()
@@ -218,7 +212,7 @@ class _Parser:
         try:
             return float(tok.text)
         except ValueError:
-            raise SpecSyntaxError(f"bad number {tok.text!r}", tok.line, tok.column) from None
+            raise SpecSyntaxError(f"bad number {tok.text!r}", *self.at(tok)) from None
 
     def parse(self) -> FullSpec:
         kw = self.take("ident")
@@ -271,7 +265,7 @@ class _Parser:
         if triple in self.path:
             raise SpecSyntaxError(f"event {event.name!r} {event.src}->{event.dst} repeats on one "
                                   "path; each (name, source, destination) may appear once per path",
-                                  tok.line, tok.column)
+                                  *self.at(tok))
         tok = self.peek()
         if tok is not None and tok.kind == ".":
             self.pos += 1
@@ -283,8 +277,8 @@ class _Parser:
             self.pos += 1
             p = self.take_float()
             if not 0.0 <= p <= 1.0:
-                raise ProbabilityOutOfRange(
-                    f"{tok.line}:{tok.column}: probability {p} outside [0, 1]")
+                line, column = self.at(tok)
+                raise ProbabilityOutOfRange(f"{line}:{column}: probability {p} outside [0, 1]")
             return Leaf(event, p)
         self.error("expected '.' or ':' after event")
 
@@ -302,12 +296,12 @@ class _Parser:
         if src.text == dst.text:
             raise SpecSyntaxError(
                 f"event {name.text!r} has identical source and destination {src.text!r}",
-                name.line, name.column,
+                *self.at(name),
             )
         for car in (src.text, dst.text):
             if car not in self.cars:
                 raise SpecSyntaxError(
-                    f"event {name.text!r} uses undeclared car {car!r}", name.line, name.column
+                    f"event {name.text!r} uses undeclared car {car!r}", *self.at(name)
                 )
         return GlobalEvent(name.text, src.text, dst.text, data)
 

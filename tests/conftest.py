@@ -174,6 +174,24 @@ def timeout_loop_csas() -> list:
     return [looper, Csa("B", ("r0",), (), "r0", frozenset({"r0"}), {})]
 
 
+def dead_deduction_csas() -> list:
+    """Hand-written CSAs whose only deduction dies: A takes the e0 and e1
+    calls back to back, and a second call while the first is still pending
+    kills the deduction."""
+    caller = Csa(
+        owner="A",
+        states=("s0", "s1", "s2"),
+        vars=(),
+        init="s0",
+        finals=frozenset({"s2"}),
+        transitions={
+            ("s0", EnvEvent(LocalEvent("e0", "B", None, "env"))): "s1",
+            ("s1", EnvEvent(LocalEvent("e1", "B", None, "env"))): "s2",
+        },
+    )
+    return [caller, Csa("B", ("r0",), (), "r0", frozenset({"r0"}), {})]
+
+
 def medium_loop_csas() -> list:
     """Hand-written CSAs that retry through the medium without a bound: A
     rebroadcasts after every lost copy, with a counter no guard reads."""

@@ -33,7 +33,7 @@ from protoforge import (
 )
 from protoforge.semantics import BroadcastItem, EnvItem, RecvItem, SysItem, TimeoutItem
 from protoforge.speclang import events_of
-from conftest import EXAMPLE_TEXT, MIXED_TEXT, random_dialogue
+from conftest import EXAMPLE_TEXT, MIXED_TEXT, random_dialogue, reference_receiver, reference_sender
 
 
 def _actors(rho):
@@ -48,16 +48,17 @@ def _actors(rho):
     return cars
 
 
-def sum_over_distinct_rhos(csas, delta, sigma, limit=500_000):
+def sum_over_distinct_rhos(csas, delta, sigma, priority=None, limit=500_000):
     """Probability mass of sigma, summed over distinct complete deductions.
 
     Walks every deduction path separately (no configuration merging), keeps
     the final deduced sequences, and sums one probability per distinct
     sequence.  Exponential, so only usable for tiny retransmission bounds; its
-    value must match the merged exploration exactly.
+    value must match the merged exploration exactly.  The first car of sigma
+    holds the priority at the start unless priority names another.
     """
     finals = {c.owner: c.finals for c in csas}
-    stack = [initial_config(csas, sigma[0].src)]
+    stack = [initial_config(csas, priority or sigma[0].src)]
     seen = {}
     steps = 0
     while stack:
@@ -93,6 +94,15 @@ def test_distinct_deduction_sum_matches_exploration(example_spec):
                 brute = sum_over_distinct_rhos(csas, delta, pseq.events)
                 merged = explore_sync(csas, delta, pseq.events).probability
                 assert brute == pytest.approx(merged, abs=1e-12)
+
+
+def test_initial_priority_is_irrelevant(example_spec):
+    csas = [reference_sender(), reference_receiver()]
+    snd_ack = enumerate_sequences(example_spec.protocol)[0].events
+    merged = explore_sync(csas, 0.35, snd_ack).probability
+    for car in ("A", "B"):
+        assert sum_over_distinct_rhos(csas, 0.35, snd_ack, priority=car) == \
+            pytest.approx(merged, abs=1e-12)
 
 
 def test_distinct_deduction_sum_three_event_chain(chain3_spec):

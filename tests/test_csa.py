@@ -112,6 +112,30 @@ def test_isomorphic_checks_finals():
     assert isomorphic(one_state(final=True), one_state(final=True))
 
 
+def with_unreachable(states, finals, edge) -> Csa:
+    # Init s0 and states that nothing reaches, with one edge src -e-> dst.
+    src, dst = edge
+    return Csa("C", ("s0",) + states, (), "s0", frozenset(finals),
+               {(src, EnvEvent(LocalEvent("e", "D", None, "env"))): dst})
+
+
+def test_isomorphic_pairs_up_unreachable_states():
+    a = with_unreachable(("u0", "u1"), {"s0", "u1"}, ("u0", "u1"))
+    b = with_unreachable(("t1", "t0"), {"s0", "t1"}, ("t0", "t1"))
+    assert isomorphic(a, b) and isomorphic(b, a)
+    c = rename(a)
+    assert isomorphic(a, c) and isomorphic(c, a)
+
+
+def test_isomorphic_checks_finals_of_unreachable_states():
+    # Same counts of states, finals and transitions, but the unreachable
+    # edge leaves a final state in a and a non-final one in b, whose final
+    # state is the isolated one.
+    a = with_unreachable(("u0", "u1", "u2"), {"u0"}, ("u0", "u1"))
+    b = with_unreachable(("t0", "t1", "t2"), {"t2"}, ("t0", "t1"))
+    assert not isomorphic(a, b) and not isomorphic(b, a)
+
+
 def test_isomorphic_checks_bounds_in_conditions():
     assert not isomorphic(reference_sender(n_snd=3), reference_sender(n_snd=2))
 

@@ -29,6 +29,7 @@ from protoforge import (
 from protoforge.semantics import BroadcastItem, EnvItem, RecvItem, SysItem, TimeoutItem
 from protoforge.speclang import GlobalEvent, events_of
 from conftest import (
+    dead_deduction_csas,
     medium_loop_csas,
     no_exit_loop_csas,
     reference_receiver,
@@ -238,14 +239,6 @@ def test_probability_conservation(reference_csas, snd_ack):
     assert result.conservation_error == 0
 
 
-def test_initial_priority_is_irrelevant(reference_csas, snd_ack):
-    values = {
-        explore_sync(reference_csas, 0.35, snd_ack, start_priority=car).probability
-        for car in ("A", "B")
-    }
-    assert len(values) == 1
-
-
 def test_formula_agreement_on_example(example_spec):
     import itertools
 
@@ -375,6 +368,18 @@ def test_retry_loop_through_the_medium():
     # When every copy is lost the walk can only go round.
     with pytest.raises(DivergenceDetected, match="cycle"):
         run_monte_carlo(csas, 1.0, E0, runs=1, seed=4)
+
+
+def test_second_call_while_one_is_pending_kills_the_deduction():
+    # The e1 call comes before B has synchronized e0: the only deduction dies
+    # after the root and its one successor.
+    csas = dead_deduction_csas()
+    sigma = E0 + (GlobalEvent("e1", "A", "B"),)
+    result = explore_sync(csas, 0.3, sigma)
+    assert (result.probability, result.configs_processed) == (0, 2)
+    (trace,) = run_monte_carlo(csas, 0.3, sigma, runs=1, seed=0, collect_traces=True).traces
+    assert trace["outcome"] == "failure"
+    assert trace["rho"] == ["A: env e0->B", "A: env e1->B"]
 
 
 @pytest.mark.parametrize("drop_prob", [0.0, 0.5, 0.9, 1.0])

@@ -25,7 +25,7 @@ from protoforge import (
 )
 from protoforge.semantics import _DEAD, _Engine, _Graph, _Tables
 from protoforge.speclang import GlobalEvent, events_of
-from conftest import medium_loop_csas, random_dialogue
+from conftest import dead_deduction_csas, medium_loop_csas, random_dialogue
 
 # The three `simulate` specifications of the benchmark, with its fixed bounds.
 BENCH_SPECS = (
@@ -110,6 +110,12 @@ def test_walk_matches_reference_on_bench_specs(case, drop_prob, seed, runs):
 @given(seed=st.integers(-10**6, 10**6), runs=st.integers(1, 60))
 def test_walk_matches_reference_on_a_retry_loop(seed, runs):
     assert_agrees(medium_loop_csas(), 0.5, (GlobalEvent("e0", "A", "B"),), runs, seed)
+
+
+@pytest.mark.parametrize("drop_prob", [0.0, 0.3, 1.0])
+def test_walk_matches_reference_on_a_dead_deduction(drop_prob):
+    sigma = (GlobalEvent("e0", "A", "B"), GlobalEvent("e1", "A", "B"))
+    assert_agrees(dead_deduction_csas(), drop_prob, sigma, 5, 3)
 
 
 def test_walk_matches_reference_on_random_dialogues():

@@ -275,7 +275,10 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
             vec[j] = 0
             return False
 
-        return vec if go(0, total) else None
+        try:
+            return vec if go(0, total) else None
+        finally:
+            del go  # it refers to itself: deleting it breaks that reference cycle
 
     total = suffix_min[0]
     while total <= top * k:

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -62,6 +64,19 @@ def _load_spec(path: str, delta_override) -> FullSpec:
     if delta_override is not None:
         full = FullSpec(full.protocol, delta_override, full.cars)
     return full
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write `text` to `path` with the bytes `Path.write_text` writes, in place.
+
+    The file is opened without O_TRUNC, written whole, then cut to its new
+    length: a rerun of the same length reuses the file's blocks instead of
+    freeing and allocating them again.  The rewrite is not atomic.
+    """
+    with open(path, "w", encoding=io.text_encoding(None),
+              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as f:
+        f.write(text)
+        f.truncate()
 
 
 def _print_wellposed(report):
@@ -105,11 +120,11 @@ def cmd_synth(args) -> int:
     for car in full.cars:
         csa = result.csas[car]
         if "json" in formats:
-            (out / f"{car}.json").write_text(export_json(csa))
+            _write_text(out / f"{car}.json", export_json(csa))
         if "dot" in formats:
-            (out / f"{car}.dot").write_text(export_dot(csa))
+            _write_text(out / f"{car}.dot", export_dot(csa))
     named = bounds_by_name(full.protocol, result.bounds)
-    (out / "bounds.json").write_text(json_text(named))
+    _write_text(out / "bounds.json", json_text(named))
     print(f"synthesized {len(full.cars)} automata into {out}")
     for name, n in named.items():
         print(f"  bound {name}: {n}")
@@ -171,7 +186,7 @@ def cmd_simulate(args) -> int:
               f"ci95 [{lo!r}, {hi!r}]")
         if args.traces:
             lines = [json.dumps(t, sort_keys=True) for t in result.traces]
-            (out_dir / f"traces_{i}_{names}.jsonl").write_text("\n".join(lines) + "\n")
+            _write_text(out_dir / f"traces_{i}_{names}.jsonl", "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -219,7 +234,7 @@ def cmd_feasible(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "feasibility.csv").write_text(csv)
+        _write_text(out / "feasibility.csv", csv)
     return EXIT_OK
 
 

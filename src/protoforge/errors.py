@@ -5,8 +5,8 @@ class ProtoforgeError(Exception):
     """Base class for all toolkit errors."""
 
 
-class SpecSyntaxError(ProtoforgeError):
-    """Raised when a .psl file does not conform to the grammar."""
+class _SpecPositionError(ProtoforgeError):
+    """An error at a line and column (both from 1) of a .psl file."""
 
     def __init__(self, message, line, column):
         super().__init__(f"{line}:{column}: {message}")
@@ -14,8 +14,12 @@ class SpecSyntaxError(ProtoforgeError):
         self.column = column
 
 
-class ProbabilityOutOfRange(ProtoforgeError):
-    """A probability annotation lies outside [0, 1]."""
+class SpecSyntaxError(_SpecPositionError):
+    """Raised when a .psl file does not conform to the grammar."""
+
+
+class ProbabilityOutOfRange(_SpecPositionError):
+    """A delta or probability annotation lies outside [0, 1]."""
 
 
 class NotWellPosed(ProtoforgeError):

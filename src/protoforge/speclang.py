@@ -122,7 +122,10 @@ def events_of(spec: SpecNode) -> list[GlobalEvent]:
             walk(node.left)
             walk(node.right)
 
-    walk(spec)
+    try:
+        walk(spec)
+    finally:
+        del walk  # it refers to itself: deleting it breaks that reference cycle
     return list(seen)
 
 
@@ -218,9 +221,10 @@ class _Parser:
         kw = self.take("ident")
         if kw.text != "delta":
             self.error("expected 'delta'")
+        number = self.peek()
         delta = self.take_float()
         if not 0.0 <= delta <= 1.0:
-            raise ProbabilityOutOfRange(f"delta {delta} outside [0, 1]")
+            raise ProbabilityOutOfRange(f"delta {delta} outside [0, 1]", *self.at(number))
         self.take(";")
         kw = self.take("ident")
         if kw.text != "cars":
@@ -277,8 +281,7 @@ class _Parser:
             self.pos += 1
             p = self.take_float()
             if not 0.0 <= p <= 1.0:
-                line, column = self.at(tok)
-                raise ProbabilityOutOfRange(f"{line}:{column}: probability {p} outside [0, 1]")
+                raise ProbabilityOutOfRange(f"probability {p} outside [0, 1]", *self.at(tok))
             return Leaf(event, p)
         self.error("expected '.' or ':' after event")
 
@@ -309,8 +312,8 @@ class _Parser:
 def parse_spec(text: str) -> FullSpec:
     """Parse .psl text into a FullSpec.
 
-    Raises SpecSyntaxError with line/column on malformed input and
-    ProbabilityOutOfRange for annotations outside [0, 1].
+    Raises SpecSyntaxError on malformed input and ProbabilityOutOfRange for
+    a delta or annotation outside [0, 1], both with line/column.
     """
     return _Parser(text).parse()
 
@@ -358,7 +361,10 @@ def enumerate_sequences(spec: SpecNode) -> list[PSequence]:
             walk(node.left, prefix)
             walk(node.right, prefix)
 
-    walk(spec, ())
+    try:
+        walk(spec, ())
+    finally:
+        del walk  # see events_of
     return list(out)
 
 
@@ -436,5 +442,8 @@ def well_posed(spec: SpecNode) -> WellPosednessReport:
                     f"({cur.src}->{cur.dst} is followed by {nxt.src}->{nxt.dst}; the "
                     "two ASCs must take turns triggering)",
                 ))
-    starts(spec, ())
+    try:
+        starts(spec, ())
+    finally:
+        del starts  # see events_of
     return WellPosednessReport(ok=not violations, violations=tuple(violations))

@@ -144,7 +144,10 @@ def synthesize_for_car(spec: SpecNode, car: CarId, bounds: BoundsVector) -> Csa:
         finals.add(start)
         return i + 1
 
-    syn(spec, 0, 0, {})
+    try:
+        syn(spec, 0, 0, {})
+    finally:
+        del syn  # it refers to itself: deleting it breaks that reference cycle
     states = sorted({0, *trans.values()})  # every state but s0 is entered by a transition
     used = {label_counter(label) for (_, label) in trans}
     return Csa(

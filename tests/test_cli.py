@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -8,8 +9,12 @@ import sys
 import pytest
 
 import protoforge
-from protoforge import events_of, export_json, parse_spec, synthesize_all, synthesize_for_car
+from protoforge import (
+    bounds_by_name, events_of, export_dot, export_json, parse_spec, synthesize_all,
+    synthesize_for_car,
+)
 from protoforge.cli import build_parser, main
+from protoforge.csa import json_text
 from protoforge.speclang import MAX_NESTING
 from conftest import EXAMPLE_TEXT, no_exit_loop_csas, timeout_loop_csas, trap_loop_csas
 
@@ -45,6 +50,26 @@ def test_check_realizable(spec_file, capsys):
     assert "realizable: yes" in out
     assert "bound snd: 3" in out and "bound ack: 1" in out and "bound nack: 2" in out
     assert "total: 6" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["synth", "--out", "{out}"], ["verify", "{A}", "{B}"],
+    ["simulate", "{A}", "{B}", "--runs", "100"], ["feasible"],
+], ids=["check", "synth", "verify", "simulate", "feasible"])
+def test_commands_leave_no_reference_cycles(tmp_path, spec_file, synth_dir, capsys, command):
+    # What sits in a reference cycle is freed only when the cyclic collector
+    # next runs, which depends on how much else the process allocates: the
+    # peak memory of a long-lived caller would then move with unrelated code.
+    argv = [arg.format(out=tmp_path / "out", A=synth_dir / "A.json", B=synth_dir / "B.json")
+            for arg in command] + ["--spec", str(spec_file)]
+    assert run(capsys, argv)[0] == 0  # builds the parser, which lives on
+    gc.collect()
+    gc.disable()
+    try:
+        run(capsys, argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_check_ill_posed(tmp_path, capsys):
@@ -126,6 +151,72 @@ def test_synth_deterministic(tmp_path, spec_file):
     assert main(["synth", "--spec", str(spec_file), "--out", str(out2)]) == 0
     for name in ("A.json", "B.json", "A.dot", "B.dot", "bounds.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def files_in(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_synth_rewrites_longer_files_to_the_fresh_bytes(tmp_path, spec_file):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert main(["synth", "--spec", str(spec_file), "--out", str(fresh)]) == 0
+    reused.mkdir()
+    for name in files_in(fresh):
+        (reused / name).write_bytes(b"junk\n" * 20_000)  # 100 KB
+    assert main(["synth", "--spec", str(spec_file), "--out", str(reused)]) == 0
+    assert files_in(reused) == files_in(fresh)
+
+
+def test_feasible_rewrites_a_longer_csv_to_the_fresh_bytes(tmp_path, spec_file, capsys):
+    small = ["--grid-n", "2:5:1", "--grid-dmax", "100:200:100", "--grid-tau", "1:4:3"]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert run(capsys, ["feasible", "--spec", str(spec_file), "--out", str(fresh)] + small)[0] == 0
+    assert run(capsys, ["feasible", "--spec", str(spec_file), "--out", str(reused)])[0] == 0
+    assert (reused / "feasibility.csv").stat().st_size > (fresh / "feasibility.csv").stat().st_size
+    assert run(capsys, ["feasible", "--spec", str(spec_file), "--out", str(reused)] + small)[0] == 0
+    assert files_in(reused) == files_in(fresh)
+    assert (fresh / "feasibility.csv").read_text().count("\n") == 1 + 16
+
+
+def test_simulate_rewrites_longer_traces_to_the_fresh_bytes(tmp_path, spec_file, synth_dir,
+                                                             capsys):
+    def simulate(out_dir, runs):
+        return run(capsys, [
+            "simulate", str(synth_dir / "A.json"), str(synth_dir / "B.json"),
+            "--spec", str(spec_file), "--runs", runs, "--seed", "3",
+            "--traces", "--out", str(out_dir),
+        ])[0]
+
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert simulate(fresh, "5") == simulate(reused, "50") == 0
+    assert simulate(reused, "5") == 0
+    assert files_in(reused) == files_in(fresh)
+
+
+def test_output_files_are_encoded_as_path_write_text_encodes(tmp_path):
+    # A non-ASCII car name reaches the DOT files unescaped.
+    text = "delta 0.2; cars A Bé; snd A->Bé . ack Bé->A : 0.5"
+    spec = tmp_path / "accent.psl"
+    spec.write_text(text)
+    out, expected = tmp_path / "out", tmp_path / "expected"
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+    result = synthesize_all(parse_spec(text))
+    expected.mkdir()
+    for car, csa in result.csas.items():
+        (expected / f"{car}.json").write_text(export_json(csa))
+        (expected / f"{car}.dot").write_text(export_dot(csa))
+    (expected / "bounds.json").write_text(json_text(bounds_by_name(parse_spec(text).protocol,
+                                                                   result.bounds)))
+    assert files_in(out) == files_in(expected)
+    assert "é".encode() in files_in(out)["Bé.dot"]
+
+
+def test_synth_onto_a_directory_exits_2(tmp_path, spec_file, capsys):
+    out = tmp_path / "out"
+    (out / "bounds.json").mkdir(parents=True)
+    code, _, err = run(capsys, ["synth", "--spec", str(spec_file), "--out", str(out)])
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_verify_pass(spec_file, synth_dir, capsys):

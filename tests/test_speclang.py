@@ -38,13 +38,19 @@ def test_parse_smallest_spec():
 
 
 def test_parse_probability_out_of_range():
-    with pytest.raises(ProbabilityOutOfRange):
+    # A leaf is placed at its ':'.
+    with pytest.raises(ProbabilityOutOfRange) as err:
         parse_spec("delta 0.1; cars A B; e A->B : 1.2")
+    assert str(err.value) == "1:29: probability 1.2 outside [0, 1]"
+    assert (err.value.line, err.value.column) == (1, 29)
 
 
 def test_parse_delta_out_of_range():
-    with pytest.raises(ProbabilityOutOfRange):
+    # The delta is placed at its number.
+    with pytest.raises(ProbabilityOutOfRange) as err:
         parse_spec("delta 1.5; cars A B; e A->B : 0.5")
+    assert str(err.value) == "1:7: delta 1.5 outside [0, 1]"
+    assert (err.value.line, err.value.column) == (1, 7)
 
 
 def test_parse_rejects_self_loop_event():

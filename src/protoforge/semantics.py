@@ -18,13 +18,18 @@ are made; env transitions outside sigma are never taken (for synthesized CSAs
 they can only start zero-contribution branches, and no synthesized state mixes
 env transitions with timeouts or receptions, so rule selection is unaffected).
 
-All these rules are implemented once, in `_Engine`.  `_Graph` builds from it
-one lazily compiled deduction graph per (CSAs, sigma), with dead counters
-zeroed and runs of single successors collapsed.  `explore_sync` evaluates it
-backward in exact decimals, and `run_monte_carlo` walks int-indexed tables of
-its next medium nodes, built whole and checked to end.  A traced run steps the
-engine itself from the initial config, drawing at each medium config as the
-tables do, and builds rho as it goes.  `global_steps` steps the engine alone.
+All these rules are implemented once, in `_Engine`.  Its part that no target
+sequence changes, a `_Machine` per CSA and an integer id per message (the
+message in an engine config is its id), is compiled once per check:
+`check_correctness` compiles each CSA once for all its sequences.  `_Graph`
+builds from the engine one lazily compiled deduction graph per (CSAs, sigma),
+with dead counters zeroed and runs of single successors collapsed.
+`explore_sync` evaluates it backward in exact decimals, and `run_monte_carlo`
+walks int-indexed tables of its next medium nodes, built whole and checked to
+end.  A traced run steps the engine itself from the initial config, drawing at
+each medium config as the tables do, and builds rho as it goes.
+`global_steps` steps the engine alone, giving the messages it reads from rho
+an id on the way.
 """
 
 from __future__ import annotations
@@ -34,13 +39,13 @@ import random
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .csa import (
     BroadcastCond,
     Csa,
     EnvEvent,
-    LocalEvent,
     Message,
     RecvSys,
     RecvUpd,
@@ -166,14 +171,16 @@ class GlobalConfig:
 # Engine configs are plain tuples:
 #   (locals, priority, tail, done, pending, parts)
 # locals: per car, (state index, counter values); tail: _TAIL_OTHER, a
-# reception ("r", msg), or a broadcast ("b", msg, restored tail); done/pending
-# track how much of the target sequence has been synchronized; parts is a
-# bitmask of cars that have taken part.
+# reception ("r", msg id), or a broadcast ("b", msg id, restored tail);
+# done/pending track how much of the target sequence has been synchronized;
+# parts is a bitmask of cars that have taken part.
 #
 # Every rule but the environment-triggered one compiles to a move
-#   (sys event or None, counter to increment or None, new tail, dst, items)
-# where a new tail ("b", msg) is completed with the tail it restores, and
-# items are the trace items the move appends to rho.
+#   (fuse key or None, counter to increment or None, new tail, dst, items)
+# where the fuse key is the target-sequence entry a plain system event
+# completes, a new tail ("b", msg id) is completed with the tail it restores,
+# and items are the trace items the move appends to rho (for a reception,
+# led by its RecvItem).
 
 _TAIL_OTHER = ("o",)
 _DEAD = "dead"
@@ -183,7 +190,7 @@ class _Machine:
     __slots__ = ("owner", "state_names", "state_idx", "vars", "init", "finals", "env",
                  "econd", "timeouts", "recv", "live")
 
-    def __init__(self, csa: Csa):
+    def __init__(self, csa: Csa, intern):
         owner = self.owner = csa.owner
         self.state_names = list(csa.states)
         self.state_idx = {s: i for i, s in enumerate(csa.states)}
@@ -195,49 +202,52 @@ class _Machine:
         self.env = [[] for _ in range(n)]       # ((name, owner, peer, data), dst, items)
         self.econd = [[] for _ in range(n)]     # (guarded counter, op, bound, move)
         self.timeouts = [[] for _ in range(n)]  # move
-        self.recv = [{} for _ in range(n)]      # msg -> [move]
-        succ = [set() for _ in range(n)]
+        self.recv = [{} for _ in range(n)]      # msg id -> [move]
+        pred = [set() for _ in range(n)]
 
-        def sys_item(e):
-            return SysItem(owner, e.name, e.peer, e.data, e.special)
+        def sys_move(e, d, *items):
+            fuse = (e.name, e.peer, owner, e.data) if e.special is None else None
+            items += (SysItem(owner, e.name, e.peer, e.data, e.special),)
+            return (fuse, None, _TAIL_OTHER, d, items)
 
         for (src, label), dst in ordered_transitions(csa):
             s, d = self.state_idx[src], self.state_idx[dst]
-            succ[s].add(d)
+            pred[d].add(s)
             if isinstance(label, EnvEvent):
                 e = label.event
                 self.env[s].append(((e.name, owner, e.peer, e.data), d,
                                     (EnvItem(owner, e.name, e.peer, e.data),)))
             elif isinstance(label, SysCond):
                 c = label.cond
-                self.econd[s].append((var_idx[c.var], c.op, c.bound,
-                                      (label.event, None, _TAIL_OTHER, d, (sys_item(label.event),))))
+                self.econd[s].append((var_idx[c.var], c.op, c.bound, sys_move(label.event, d)))
             elif isinstance(label, BroadcastCond):
                 c = label.cond
-                self.econd[s].append((var_idx[c.var], c.op, c.bound,
-                                      (None, None, ("b", label.msg), d, (BroadcastItem(label.msg),))))
+                move = (None, None, ("b", intern(label.msg)), d, (BroadcastItem(label.msg),))
+                self.econd[s].append((var_idx[c.var], c.op, c.bound, move))
             elif isinstance(label, TimeoutSys):
                 e = label.event
-                self.timeouts[s].append((e, None, _TAIL_OTHER, d,
-                                         (TimeoutItem(owner, e.name), sys_item(e))))
+                self.timeouts[s].append(sys_move(e, d, TimeoutItem(owner, e.name)))
             elif isinstance(label, TimeoutUpd):
                 self.timeouts[s].append((None, var_idx[label.var], _TAIL_OTHER, d,
                                          (TimeoutItem(owner, label.var),)))
             elif isinstance(label, RecvSys):
-                self.recv[s].setdefault(label.msg, []).append(
-                    (label.event, None, _TAIL_OTHER, d, (sys_item(label.event),)))
+                self.recv[s].setdefault(intern(label.msg), []).append(
+                    sys_move(label.event, d, RecvItem(label.msg)))
             elif isinstance(label, RecvUpd):
-                self.recv[s].setdefault(label.msg, []).append(
-                    (None, var_idx[label.var], ("r", label.msg), d, ()))
+                m = intern(label.msg)
+                self.recv[s].setdefault(m, []).append(
+                    (None, var_idx[label.var], ("r", m), d, (RecvItem(label.msg),)))
         # A counter is live at a state if a guard there reads it or it is live
         # at a successor; increments alone do not make it live.  live[s] holds
         # one 1/0 factor per counter, or None when every counter is live.
         live = [{entry[0] for entry in self.econd[s]} for s in range(n)]
-        while True:
-            grown = [live[s].union(*(live[d] for d in succ[s])) for s in range(n)]
-            if grown == live:
-                break
-            live = grown
+        work = list(range(n))
+        while work:
+            d = work.pop()
+            for s in pred[d]:
+                if not live[d] <= live[s]:
+                    live[s] |= live[d]
+                    work.append(s)
         self.live = [None if len(live[s]) == len(self.vars) else
                      tuple(int(vi in live[s]) for vi in range(len(self.vars))) for s in range(n)]
 
@@ -248,14 +258,37 @@ class _Succ(NamedTuple):
     items: tuple
 
 
-class _Engine:
-    def __init__(self, csas: Sequence[Csa], sigma: Sequence[GlobalEvent], reduce=False):
+class _Compiled(tuple):
+    """CSAs in owner order, with the part of the engine that no target
+    sequence changes compiled once: a _Machine per car, the car index, and an
+    id per message with the index of its destination car."""
+
+    def __new__(cls, csas: Sequence[Csa]):
         ordered = sorted(csas, key=lambda c: c.owner)
         if len({c.owner for c in ordered}) != len(ordered):
             raise ValueError("two CSAs share an owner")
-        self.machines = [_Machine(c) for c in ordered]
-        self.cars = [m.owner for m in self.machines]
+        return super().__new__(cls, ordered)
+
+    def __init__(self, csas):
+        self.cars = [c.owner for c in self]
         self.car_idx = {c: i for i, c in enumerate(self.cars)}
+        self.msg_ids: dict = {}
+        self.msg_dst: list = []
+        self.machines = [_Machine(c, self.intern) for c in self]
+
+    def intern(self, msg: Message) -> int:
+        i = self.msg_ids.get(msg)
+        if i is None:
+            i = self.msg_ids[msg] = len(self.msg_dst)
+            self.msg_dst.append(self.car_idx.get(msg.dst))
+        return i
+
+
+class _Engine:
+    def __init__(self, csas: Sequence[Csa], sigma: Sequence[GlobalEvent], reduce=False):
+        compiled = csas if isinstance(csas, _Compiled) else _Compiled(csas)
+        self.machines, self.cars, self.car_idx = compiled.machines, compiled.cars, compiled.car_idx
+        self.msg_dst, self.intern = compiled.msg_dst, compiled.intern
         self.sigma = tuple(sigma)
         # what an environment-triggered event must match after k fired ones
         self.wanted = [(e.name, e.src, e.dst, e.data) for e in self.sigma] + [None]
@@ -295,34 +328,30 @@ class _Engine:
         return [self._move(cfg, x, move) for move in self.machines[x].timeouts[state]]
 
     def _r_steps(self, cfg, x, msg):
-        # Reception steps of x against message msg at the tail.
+        # Deliveries to x of the message with id msg.
         state = cfg[0][x][0]
-        return [self._move(cfg, x, move) for move in self.machines[x].recv[state].get(msg, ())]
+        return [self._move(cfg, x, move, "deliver")
+                for move in self.machines[x].recv[state].get(msg, ())]
 
-    def _move(self, cfg, x, move):
+    def _move(self, cfg, x, move, kind="free"):
         locals_, pr, tail, done, pending, parts = cfg
-        event, inc, new_tail, dst, items = move
+        fuse, inc, new_tail, dst, items = move
         vals = locals_[x][1]
-        if event is not None:
-            done, pending = self._sys_proj(event, self.cars[x], done, pending)
+        # A plain system event matching the pending environment event fuses
+        # into the next global event of the target sequence.
+        if pending and fuse == self.wanted[done]:
+            done, pending = done + 1, 0
         if inc is not None:
             vals = vals[:inc] + (vals[inc] + 1,) + vals[inc + 1:]
         if new_tail[0] == "b":
             new_tail = new_tail + (tail,)
         nl = self._set_local(locals_, x, dst, vals)
-        return _Succ("free", (nl, x, new_tail, done, pending, parts | (1 << x)), items)
-
-    def _sys_proj(self, e: LocalEvent, car, done, pending):
-        # A plain system event matching the pending environment event fuses
-        # into the next global event of the target sequence.
-        if pending and e.special is None and self.wanted[done] == (e.name, e.peer, car, e.data):
-            return done + 1, 0
-        return done, pending
+        return _Succ(kind, (nl, x, new_tail, done, pending, parts | (1 << x)), items)
 
     def _set_local(self, locals_, x, state, vals):
         keep = self.machines[x].live[state] if self.reduce else None
         if keep is not None:
-            vals = tuple(v * k for v, k in zip(vals, keep))
+            vals = tuple(map(mul, vals, keep))
         return locals_[:x] + ((state, vals),) + locals_[x + 1:]
 
     # -- global step enumeration --------------------------------------------
@@ -337,10 +366,8 @@ class _Engine:
         locals_, pr, tail, done, pending, parts = cfg
         if tail[0] == "b":
             msg, restore = tail[1], tail[2]
-            z = self.car_idx.get(msg.dst)
-            received = [] if z is None else [
-                _Succ("deliver", s.cfg, (RecvItem(msg),) + s.items)
-                for s in self._r_steps(cfg, z, msg)]
+            z = self.msg_dst[msg]
+            received = [] if z is None else self._r_steps(cfg, z, msg)
             if received:
                 dropped = _Succ("drop", (locals_, z, restore, done, pending, parts), ())
                 return ("medium", received, dropped)
@@ -351,12 +378,14 @@ class _Engine:
         if succs:
             return ("free", succs)
         # Hand-off: any CSA may act, by any rule; the actor takes the priority.
+        # A reception of the message at the tail appends no RecvItem.
         out = []
         for x in range(len(self.machines)):
             out.extend(self._e_steps(cfg, x))
             out.extend(self._t_steps(cfg, x))
             if tail[0] == "r":
-                out.extend(self._r_steps(cfg, x, tail[1]))
+                out.extend(_Succ("free", s.cfg, s.items[1:])
+                           for s in self._r_steps(cfg, x, tail[1]))
         return ("free", out)
 
     def is_success(self, cfg) -> bool:
@@ -417,23 +446,24 @@ class _Graph:
         self.root = self.node(self.engine.initial())
 
     def node(self, cfg) -> _Node:
-        engine, trail = self.engine, {}
+        nodes, engine, trail = self.nodes, self.engine, {}
+        room, n_sigma = self.budget - len(nodes), len(engine.sigma)
         while True:
             if cfg is _DEAD:
                 found = _DEAD_NODE
                 break
-            found = self.nodes.get(cfg)
+            found = nodes.get(cfg)
             if found is not None:
                 break
             if cfg in trail:
                 raise _cycle("repeats with no medium decision in between")
             trail[cfg] = None
-            if len(self.nodes) + len(trail) > self.budget:
+            if len(trail) > room:
                 raise DivergenceDetected(
                     f"exploration exceeded {self.budget} configurations; "
                     "set PROTOFORGE_BUDGET to raise the limit"
                 )
-            if engine.is_success(cfg):
+            if cfg[3] == n_sigma and engine.is_success(cfg):
                 found = _Node(cfg, _SUCCESS)
                 break
             shape = engine.expand(cfg)
@@ -449,18 +479,17 @@ class _Graph:
                     _Node(cfg, _FAILURE)
                 break
             cfg = succs[0].cfg
-        for c in trail:
-            self.nodes[c] = found
+        nodes.update(dict.fromkeys(trail, found))
         return found
 
     def link(self, node):
         d = self.drop_prob
         if node.kind == _MEDIUM:
             delivered, dropped = node.raw
-            node.succ = tuple(self.node(c) for c in delivered) if d < 1.0 else ()
+            node.succ = tuple(map(self.node, delivered)) if d < 1.0 else ()
             node.drop = self.node(dropped) if d > 0.0 else None
         else:
-            node.succ = tuple(self.node(c) for c in node.raw)
+            node.succ = tuple(map(self.node, node.raw))
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +591,10 @@ def check_correctness(
 ) -> CorrectnessReport:
     """Verify exactly that every sequence of the specification is synchronized
     at least as likely as its own leaf requires."""
+    compiled = _Compiled(csas)  # a sequence of the CSAs, each compiled once for every sigma
     checks = tuple(
-        SequenceCheck(pseq.events, pseq.p, explore_sync(csas, drop_prob, pseq.events).probability)
+        SequenceCheck(pseq.events, pseq.p,
+                      explore_sync(compiled, drop_prob, pseq.events).probability)
         for pseq in enumerate_sequences(spec)
     )
     return CorrectnessReport(ok=all(c.satisfied for c in checks), checks=checks)
@@ -758,10 +789,10 @@ def global_steps(
         if isinstance(last, BroadcastItem):
             restore = _TAIL_OTHER
             if len(gcfg.rho) > 1 and isinstance(gcfg.rho[-2], RecvItem):
-                restore = ("r", gcfg.rho[-2].msg)
-            tail = ("b", last.msg, restore)
+                restore = ("r", engine.intern(gcfg.rho[-2].msg))
+            tail = ("b", engine.intern(last.msg), restore)
         elif isinstance(last, RecvItem):
-            tail = ("r", last.msg)
+            tail = ("r", engine.intern(last.msg))
     fired = sum(isinstance(item, EnvItem) for item in gcfg.rho)
     cfg = (locals_, engine.car_idx[gcfg.priority], tail, fired, 0, 0)
 

@@ -26,6 +26,7 @@ from protoforge import (
     sync_prob,
     synthesize_for_car,
 )
+from protoforge import semantics
 from protoforge.semantics import BroadcastItem, EnvItem, RecvItem, SysItem, TimeoutItem
 from protoforge.speclang import GlobalEvent, events_of
 from conftest import (
@@ -294,6 +295,31 @@ def test_broadcast_to_deaf_receiver_is_discarded_without_cost():
     assert global_steps([sender, deaf], 0.4, after, sigma) == []  # stuck
 
 
+@pytest.mark.parametrize("msg, state, priority", [
+    (Message("z", "A", "B"), "s3", "B"),       # declared by no CSA
+    (Message("z", "A", "C"), "s3", "A"),       # declared by no CSA, to a car without one
+    (Message("b", "B", "A"), "s2", "A"),       # declared, but A at s2 cannot receive it
+], ids=["undeclared", "undeclared-no-car", "not-receivable"])
+def test_trailing_broadcast_nobody_receives_is_discarded(reference_csas, snd_ack, msg, state,
+                                                         priority):
+    # global_steps meets these messages first in rho, so their ids are
+    # assigned at run time; the broadcast goes without probability cost and
+    # the priority passes to its destination when that car has a CSA.
+    env = EnvItem("A", "snd", "B", "d")
+    cfg = GlobalConfig(
+        rho=(env, BroadcastItem(msg)),
+        locals={"A": LocalConfig(state, (("nu1", 1),)),
+                "B": LocalConfig.initial(reference_csas[1])},
+        priority="B" if msg.src == "B" else "A",
+        prob=0.5,
+    )
+    (after,) = global_steps(reference_csas, 0.35, cfg, snd_ack)
+    assert after.rho == (env,)
+    assert after.prob == 0.5
+    assert after.priority == priority
+    assert after.locals == cfg.locals
+
+
 def test_uninvolved_car_does_not_block_success(snd_ack):
     # A third car's CSA never takes part, so it is exempt from the final-state
     # requirement (its single state is final anyway) and the probability is
@@ -428,6 +454,29 @@ def test_correctness_trivial_lossless(example_spec):
         for c in ("A", "B")
     ]
     assert check_correctness(csas, 0.0, example_spec.protocol).ok
+
+
+def test_check_correctness_compiles_each_csa_once(monkeypatch, example_spec, reference_csas):
+    built = []
+
+    class Counting(semantics._Machine):
+        __slots__ = ()
+
+        def __init__(self, csa, *args):
+            built.append(csa.owner)
+            super().__init__(csa, *args)
+
+    monkeypatch.setattr(semantics, "_Machine", Counting)
+    report = check_correctness(reference_csas, 0.35, example_spec.protocol)
+    assert len(report.checks) == 2
+    assert sorted(built) == ["A", "B"]
+
+
+def test_check_correctness_carries_no_state_between_sequences(example_spec, reference_csas):
+    first = check_correctness(reference_csas, 0.35, example_spec.protocol)
+    assert check_correctness(reference_csas, 0.35, example_spec.protocol) == first
+    for chk in first.checks:
+        assert chk.achieved == explore_sync(reference_csas, 0.35, chk.events).probability
 
 
 # ---------------------------------------------------------------------------

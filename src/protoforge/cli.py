@@ -8,7 +8,9 @@
     protoforge feasible --spec FILE [--grid-n A:B:S] [--grid-dmax A:B:S]
                         [--grid-tau A:B:S] [--cap N] [--out DIR]
 
---cap takes a nonnegative integer, --runs a positive one.
+--cap takes a nonnegative integer, --runs a positive one.  synth --format F
+writes each car's CSA in format F only and removes the car's file of the
+other format from DIR, if an earlier run left one.
 
 Exit codes: 0 success, 1 requirement not met (unrealizable or verification
 failure), 2 malformed input or I/O error (including a grid with a non-finite
@@ -119,10 +121,12 @@ def cmd_synth(args) -> int:
     formats = {"json", "dot"} if args.format is None else {args.format}
     for car in full.cars:
         csa = result.csas[car]
-        if "json" in formats:
-            _write_text(out / f"{car}.json", export_json(csa))
-        if "dot" in formats:
-            _write_text(out / f"{car}.dot", export_dot(csa))
+        for fmt, export in (("json", export_json), ("dot", export_dot)):
+            path = out / f"{car}.{fmt}"
+            if fmt in formats:
+                _write_text(path, export(csa))
+            else:  # an earlier run's file would disagree with bounds.json
+                path.unlink(missing_ok=True)
     named = bounds_by_name(full.protocol, result.bounds)
     _write_text(out / "bounds.json", json_text(named))
     print(f"synthesized {len(full.cars)} automata into {out}")

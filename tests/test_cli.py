@@ -139,6 +139,26 @@ def test_synth_format_filter(tmp_path, spec_file):
     assert names == ["A.dot", "B.dot", "bounds.json"]
 
 
+@pytest.mark.parametrize("fmt, other", [("json", "dot"), ("dot", "json")])
+def test_synth_format_removes_the_other_formats_stale_files(tmp_path, spec_file, fmt, other):
+    # A rerun restricted to one format at another delta: the files of the
+    # other format from the first run would hold the old bounds.
+    out = tmp_path / "o"
+    assert main(["synth", "--spec", str(spec_file), "--out", str(out)]) == 0
+    (out / "C.dot").write_text("not the spec's\n")
+    (out / "A.txt").write_text("not a CSA format\n")
+    argv = ["synth", "--spec", str(spec_file), "--out", str(out), "--format", fmt, "--delta", "0"]
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["A.txt", "C.dot", f"A.{fmt}", f"B.{fmt}", "bounds.json"])
+    assert json.loads((out / "bounds.json").read_text()) == {"snd": 0, "ack": 0, "nack": 0}
+    fresh = tmp_path / "fresh"
+    assert main(argv[:4] + [str(fresh)] + argv[5:]) == 0
+    for name in (f"A.{fmt}", f"B.{fmt}", "bounds.json"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+    assert not (out / f"A.{other}").exists()
+
+
 def test_synth_lossless_override(tmp_path, spec_file):
     out = tmp_path / "lossless"
     assert main(["synth", "--spec", str(spec_file), "--out", str(out), "--delta", "0"]) == 0

@@ -261,7 +261,8 @@ class _Succ(NamedTuple):
 class _Compiled(tuple):
     """CSAs in owner order, with the part of the engine that no target
     sequence changes compiled once: a _Machine per car, the car index, and an
-    id per message with the index of its destination car."""
+    id per message with the index of its destination car.  It is a tuple of
+    the CSAs, so check_correctness passes it to explore_sync as its csas."""
 
     def __new__(cls, csas: Sequence[Csa]):
         ordered = sorted(csas, key=lambda c: c.owner)
@@ -338,7 +339,8 @@ class _Engine:
         fuse, inc, new_tail, dst, items = move
         vals = locals_[x][1]
         # A plain system event matching the pending environment event fuses
-        # into the next global event of the target sequence.
+        # into the next global event of the target sequence.  Other moves
+        # have no fuse key, and wanted[done] is not None while one is pending.
         if pending and fuse == self.wanted[done]:
             done, pending = done + 1, 0
         if inc is not None:

@@ -38,18 +38,7 @@ from .errors import (
     Unrealizable,
 )
 from .medium import MediumParams, drop_prob, feasibility_sweep, sweep_csv
-from .semantics import (
-    CorrectnessReport,
-    GlobalConfig,
-    LocalConfig,
-    MonteCarloResult,
-    check_correctness,
-    explore_sync,
-    global_steps,
-    initial_config,
-    project,
-    run_monte_carlo,
-)
+from .semantics import CorrectnessReport, MonteCarloResult, check_correctness, explore_sync, run_monte_carlo
 from .speclang import (
     FullSpec,
     GlobalEvent,

@@ -209,8 +209,8 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
     checks = [(itemgetter(*idxs), _evaluator(len(idxs)), p) for idxs, p in constraints]
 
     def feasible(vec):
-        for project, prob, p in checks:
-            if not prob(project(vec), drop_prob) >= p:
+        for pick, prob, p in checks:
+            if not prob(pick(vec), drop_prob) >= p:
                 return False
         return True
 
@@ -286,6 +286,9 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
         if found is not None:
             return {e: found[i] for i, e in enumerate(events)}
         total += 1
+    # A guard, unreachable while P is monotone in every bound: [top] * k is
+    # feasible (top >= a u with [u] * k feasible, or top is a feasible cap), and
+    # the search at total top * k tries it.
     return Infeasible(proven=False, reason=f"no feasible bounds with every bound <= {cap}")
 
 

@@ -13,10 +13,11 @@ writes each car's CSA in format F only and removes the car's file of the
 other format from DIR, if an earlier run left one.
 
 Exit codes: 0 success, 1 requirement not met (unrealizable or verification
-failure), 2 malformed input or I/O error (including a grid with a non-finite
-or, for --grid-n, non-integer value, a grid of more than MAX_GRID_POINTS
-points, and medium parameters out of their domain), 3 exploration budget
-exhausted or a cycle in the deductions of hand-written CSAs.
+failure, or a specification `feasible` finds not well-posed), 2 malformed
+input or I/O error (including a grid with a non-finite or, for --grid-n,
+non-integer value, a grid of more than MAX_GRID_POINTS points, and medium
+parameters out of their domain), 3 exploration budget exhausted or a cycle
+in the deductions of hand-written CSAs.
 PROTOFORGE_BUDGET overrides the budget of distinct configurations.
 
 `main` may be called any number of times in one process; the argument parser
@@ -174,16 +175,19 @@ def cmd_simulate(args) -> int:
         return EXIT_INPUT
     full = _load_spec(args.spec, args.delta)
     csas = [import_json(Path(p).read_text()) for p in args.csas]
+    # Every sequence runs before anything is printed or written, so an input
+    # that fails in any of them leaves no partial output.
+    results = [
+        (pseq, run_monte_carlo(csas, full.delta, pseq.events, runs=args.runs, seed=args.seed,
+                               collect_traces=args.traces))
+        for pseq in enumerate_sequences(full.protocol)
+    ]
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     print(f"delta: {full.delta!r}")
     print(f"seed: {args.seed}")
     print(f"runs: {args.runs}")
-    for i, pseq in enumerate(enumerate_sequences(full.protocol)):
-        result = run_monte_carlo(
-            csas, full.delta, pseq.events, runs=args.runs, seed=args.seed,
-            collect_traces=args.traces,
-        )
+    for i, (pseq, result) in enumerate(results):
         lo, hi = _wilson95(result.successes, result.runs)
         names = ".".join(e.name for e in pseq.events)
         print(f"  {names}: {result.successes}/{result.runs} rate {result.empirical_rate!r} "

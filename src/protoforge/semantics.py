@@ -28,8 +28,6 @@ with dead counters zeroed and runs of single successors collapsed.
 walks int-indexed tables of its next medium nodes, built whole and checked to
 end.  A traced run steps the engine itself from the initial config, drawing at
 each medium config as the tables do, and builds rho as it goes.
-`global_steps` steps the engine alone, giving the messages it reads from rho
-an id on the way.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .csa import (
     BroadcastCond,
@@ -49,7 +47,6 @@ from .csa import (
     Message,
     RecvSys,
     RecvUpd,
-    StateId,
     SysCond,
     TimeoutSys,
     TimeoutUpd,
@@ -114,55 +111,6 @@ class RecvItem:
 
     def __str__(self):
         return f"{self.msg.dst}: ?{self.msg}"
-
-
-RhoItem = Union[EnvItem, SysItem, TimeoutItem, BroadcastItem, RecvItem]
-
-
-def project(rho: Sequence[RhoItem]) -> list:
-    """Project a deduced sequence onto global events.
-
-    Environment-triggered events are appended as they come; a system-triggered
-    event fuses with a matching environment-triggered event at the tail of the
-    projection into one global event; everything else is dropped.  Unfused
-    environment events remain in the output, so a fully synchronized trace
-    projects to global events only.
-    """
-    out: list = []
-    for item in rho:
-        if isinstance(item, EnvItem):
-            out.append(item)
-        elif isinstance(item, SysItem) and item.special is None and out:
-            tail = out[-1]
-            if isinstance(tail, EnvItem) and (tail.name, tail.car, tail.peer, tail.data) == \
-                    (item.name, item.peer, item.car, item.data):
-                out[-1] = GlobalEvent(item.name, src=tail.car, dst=tail.peer, data=item.data)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Public configuration types
-
-
-@dataclass(frozen=True)
-class LocalConfig:
-    state: StateId
-    valuation: tuple[tuple[str, int], ...]  # (counter, value) pairs, in CSA var order
-
-    @staticmethod
-    def initial(csa: Csa) -> "LocalConfig":
-        return LocalConfig(csa.init, tuple((v, 0) for v in csa.vars))
-
-    def value(self, var: str) -> int:
-        return dict(self.valuation)[var]
-
-
-@dataclass
-class GlobalConfig:
-    rho: tuple[RhoItem, ...]
-    locals: dict[str, LocalConfig]
-    priority: str
-    prob: float
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +200,6 @@ class _Machine:
                      tuple(int(vi in live[s]) for vi in range(len(self.vars))) for s in range(n)]
 
 
-class _Succ(NamedTuple):
-    kind: str  # "deliver", "drop", "nacc", "free"
-    cfg: object  # engine config tuple or _DEAD
-    items: tuple
-
-
 class _Compiled(tuple):
     """CSAs in owner order, with the part of the engine that no target
     sequence changes compiled once: a _Machine per car, the car index, and an
@@ -266,8 +208,9 @@ class _Compiled(tuple):
 
     def __new__(cls, csas: Sequence[Csa]):
         ordered = sorted(csas, key=lambda c: c.owner)
-        if len({c.owner for c in ordered}) != len(ordered):
-            raise ValueError("two CSAs share an owner")
+        for a, b in zip(ordered, ordered[1:]):
+            if a.owner == b.owner:
+                raise ValueError(f"two CSAs share the owner {a.owner}")
         return super().__new__(cls, ordered)
 
     def __init__(self, csas):
@@ -286,14 +229,13 @@ class _Compiled(tuple):
 
 
 class _Engine:
-    def __init__(self, csas: Sequence[Csa], sigma: Sequence[GlobalEvent], reduce=False):
+    def __init__(self, csas: Sequence[Csa], sigma: Sequence[GlobalEvent]):
         compiled = csas if isinstance(csas, _Compiled) else _Compiled(csas)
         self.machines, self.cars, self.car_idx = compiled.machines, compiled.cars, compiled.car_idx
-        self.msg_dst, self.intern = compiled.msg_dst, compiled.intern
+        self.msg_dst = compiled.msg_dst
         self.sigma = tuple(sigma)
         # what an environment-triggered event must match after k fired ones
         self.wanted = [(e.name, e.src, e.dst, e.data) for e in self.sigma] + [None]
-        self.reduce = reduce  # zero the counters dead at a car's new state
         for ev in self.sigma:
             if ev.src not in self.car_idx or ev.dst not in self.car_idx:
                 raise ValueError(f"event {ev} references a car with no CSA")
@@ -318,7 +260,7 @@ class _Engine:
             if key == want:  # while one is pending, a second call kills the deduction
                 nl = self._set_local(locals_, x, dst, vals)
                 nxt = _DEAD if pending else (nl, x, _TAIL_OTHER, done, 1, parts | (1 << x))
-                out.append(_Succ("free", nxt, items))
+                out.append((nxt, items))
         for vi, op, bound, move in m.econd[state]:
             if vals[vi] <= bound if op == "<=" else vals[vi] > bound:
                 out.append(self._move(cfg, x, move))
@@ -331,10 +273,9 @@ class _Engine:
     def _r_steps(self, cfg, x, msg):
         # Deliveries to x of the message with id msg.
         state = cfg[0][x][0]
-        return [self._move(cfg, x, move, "deliver")
-                for move in self.machines[x].recv[state].get(msg, ())]
+        return [self._move(cfg, x, move) for move in self.machines[x].recv[state].get(msg, ())]
 
-    def _move(self, cfg, x, move, kind="free"):
+    def _move(self, cfg, x, move):
         locals_, pr, tail, done, pending, parts = cfg
         fuse, inc, new_tail, dst, items = move
         vals = locals_[x][1]
@@ -348,10 +289,11 @@ class _Engine:
         if new_tail[0] == "b":
             new_tail = new_tail + (tail,)
         nl = self._set_local(locals_, x, dst, vals)
-        return _Succ(kind, (nl, x, new_tail, done, pending, parts | (1 << x)), items)
+        return (nl, x, new_tail, done, pending, parts | (1 << x)), items
 
     def _set_local(self, locals_, x, state, vals):
-        keep = self.machines[x].live[state] if self.reduce else None
+        # Zero the counters dead at x's new state.
+        keep = self.machines[x].live[state]
         if keep is not None:
             vals = tuple(map(mul, vals, keep))
         return locals_[:x] + ((state, vals),) + locals_[x + 1:]
@@ -359,7 +301,7 @@ class _Engine:
     # -- global step enumeration --------------------------------------------
 
     def expand(self, cfg):
-        """Successor list per the global rules, each with its trace items.
+        """Successors per the global rules, each a (config, trace items) pair.
 
         Returns ("medium", delivered, dropped) for a pending broadcast with a
         ready receiver, or ("free", successors) otherwise; an empty successor
@@ -371,10 +313,10 @@ class _Engine:
             z = self.msg_dst[msg]
             received = [] if z is None else self._r_steps(cfg, z, msg)
             if received:
-                dropped = _Succ("drop", (locals_, z, restore, done, pending, parts), ())
+                dropped = ((locals_, z, restore, done, pending, parts), ())
                 return ("medium", received, dropped)
             nacc_pr = z if z is not None else pr
-            return ("free", [_Succ("nacc", (locals_, nacc_pr, restore, done, pending, parts), ())])
+            return ("free", [((locals_, nacc_pr, restore, done, pending, parts), ())])
 
         succs = self._e_steps(cfg, pr) or self._t_steps(cfg, pr)
         if succs:
@@ -386,8 +328,7 @@ class _Engine:
             out.extend(self._e_steps(cfg, x))
             out.extend(self._t_steps(cfg, x))
             if tail[0] == "r":
-                out.extend(_Succ("free", s.cfg, s.items[1:])
-                           for s in self._r_steps(cfg, x, tail[1]))
+                out.extend((nxt, items[1:]) for nxt, items in self._r_steps(cfg, x, tail[1]))
         return ("free", out)
 
     def is_success(self, cfg) -> bool:
@@ -438,7 +379,7 @@ class _Graph:
     """
 
     def __init__(self, csas, sigma, drop_prob, budget=None):
-        self.engine = _Engine(csas, sigma, reduce=True)
+        self.engine = _Engine(csas, sigma)
         self.drop_prob = drop_prob
         if budget is None:
             budget = int(os.environ.get("PROTOFORGE_BUDGET") or DEFAULT_BUDGET)
@@ -472,15 +413,15 @@ class _Graph:
             if shape[0] == "medium":
                 _, received, dropped = shape
                 self.branching |= len(received) > 1
-                found = _Node(cfg, _MEDIUM, (tuple(s.cfg for s in received), dropped.cfg))
+                found = _Node(cfg, _MEDIUM, (tuple(s[0] for s in received), dropped[0]))
                 break
             succs = shape[1]
             if len(succs) != 1:
                 self.branching |= len(succs) > 1
-                found = _Node(cfg, _FREE, tuple(s.cfg for s in succs)) if succs else \
+                found = _Node(cfg, _FREE, tuple(s[0] for s in succs)) if succs else \
                     _Node(cfg, _FAILURE)
                 break
-            cfg = succs[0].cfg
+            cfg = succs[0][0]
         nodes.update(dict.fromkeys(trail, found))
         return found
 
@@ -748,17 +689,17 @@ def _trace(graph: _Graph, run: int, draw) -> dict:
     while not engine.is_success(cfg):
         shape = engine.expand(cfg)
         if shape[0] == "medium":
-            s = shape[2] if draw() < d else shape[1][0]
+            nxt, items = shape[2] if draw() < d else shape[1][0]
         elif shape[1]:
-            s = shape[1][0]
+            nxt, items = shape[1][0]
         else:
             break  # stuck
-        if s.kind != "free":
-            rho.pop()  # the broadcast is delivered, dropped or discarded
-        rho.extend(s.items)
-        if s.cfg is _DEAD:
+        if cfg[2][0] == "b":  # a step from a broadcast tail delivers, drops or discards it
+            rho.pop()
+        rho.extend(items)
+        if nxt is _DEAD:
             break
-        cfg = s.cfg
+        cfg = nxt
     return {
         "run": run,
         "outcome": _SUCCESS if engine.is_success(cfg) else _FAILURE,
@@ -766,72 +707,3 @@ def _trace(graph: _Graph, run: int, draw) -> dict:
         "final_states": {m.owner: m.state_names[cfg[0][x][0]]
                          for x, m in enumerate(engine.machines)},
     }
-
-
-# ---------------------------------------------------------------------------
-# Public single-step wrappers
-
-
-def global_steps(
-    csas: Sequence[Csa],
-    drop_prob: float,
-    gcfg: GlobalConfig,
-    sigma: Sequence[GlobalEvent],
-) -> list[GlobalConfig]:
-    """All one-step successors of a global configuration under the global rules."""
-    engine = _Engine(csas, sigma)
-    locals_ = tuple(
-        (engine.machines[x].state_idx[gcfg.locals[car].state],
-         tuple(v for _, v in gcfg.locals[car].valuation))
-        for x, car in enumerate(engine.cars)
-    )
-    tail = _TAIL_OTHER
-    if gcfg.rho:
-        last = gcfg.rho[-1]
-        if isinstance(last, BroadcastItem):
-            restore = _TAIL_OTHER
-            if len(gcfg.rho) > 1 and isinstance(gcfg.rho[-2], RecvItem):
-                restore = ("r", engine.intern(gcfg.rho[-2].msg))
-            tail = ("b", engine.intern(last.msg), restore)
-        elif isinstance(last, RecvItem):
-            tail = ("r", engine.intern(last.msg))
-    fired = sum(isinstance(item, EnvItem) for item in gcfg.rho)
-    cfg = (locals_, engine.car_idx[gcfg.priority], tail, fired, 0, 0)
-
-    shape = engine.expand(cfg)
-    if shape[0] == "medium":
-        _, received, dropped = shape
-        succs = [(s, (1.0 - drop_prob)) for s in received] + [(dropped, drop_prob)]
-    else:
-        succs = [(s, 1.0) for s in shape[1]]
-
-    out = []
-    for s, factor in succs:
-        prob = gcfg.prob * factor
-        if prob == 0.0 or s.cfg is _DEAD:
-            continue
-        # Delivering, dropping or discarding consumes the trailing broadcast.
-        rho = (gcfg.rho if s.kind == "free" else gcfg.rho[:-1]) + s.items
-        nl, px, *_ = s.cfg
-        out.append(GlobalConfig(
-            rho=rho,
-            locals={
-                car: LocalConfig(
-                    engine.machines[x].state_names[nl[x][0]],
-                    tuple(zip(engine.machines[x].vars, nl[x][1])),
-                )
-                for x, car in enumerate(engine.cars)
-            },
-            priority=engine.cars[px],
-            prob=prob,
-        ))
-    return out
-
-
-def initial_config(csas: Sequence[Csa], priority: str) -> GlobalConfig:
-    return GlobalConfig(
-        rho=(),
-        locals={c.owner: LocalConfig.initial(c) for c in csas},
-        priority=priority,
-        prob=1.0,
-    )

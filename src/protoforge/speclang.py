@@ -210,6 +210,12 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def keyword(self, word: str) -> None:
+        tok = self.peek()
+        if tok is None or tok.kind != "ident" or tok.text != word:
+            self.error(f"expected {word!r}")
+        self.pos += 1
+
     def take_float(self) -> float:
         tok = self.take("number")
         try:
@@ -218,17 +224,13 @@ class _Parser:
             raise SpecSyntaxError(f"bad number {tok.text!r}", *self.at(tok)) from None
 
     def parse(self) -> FullSpec:
-        kw = self.take("ident")
-        if kw.text != "delta":
-            self.error("expected 'delta'")
+        self.keyword("delta")
         number = self.peek()
         delta = self.take_float()
         if not 0.0 <= delta <= 1.0:
             raise ProbabilityOutOfRange(f"delta {delta} outside [0, 1]", *self.at(number))
         self.take(";")
-        kw = self.take("ident")
-        if kw.text != "cars":
-            self.error("expected 'cars'")
+        self.keyword("cars")
         cars = []
         while self.peek() is not None and self.peek().kind == "ident":
             cars.append(self.take("ident").text)

@@ -10,8 +10,8 @@ import pytest
 
 import protoforge
 from protoforge import (
-    bounds_by_name, events_of, export_dot, export_json, parse_spec, synthesize_all,
-    synthesize_for_car,
+    Csa, EnvEvent, LocalEvent, TimeoutUpd, bounds_by_name, events_of, export_dot, export_json,
+    parse_spec, synthesize_all, synthesize_for_car,
 )
 from protoforge.cli import build_parser, main
 from protoforge.csa import json_text
@@ -100,6 +100,24 @@ def test_check_malformed(tmp_path, capsys):
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, ["check", "--spec", "/no/such/file.psl"])
     assert code == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("cars A B; e0 A->B . e1 B->A : 0.5", "1:1: expected 'delta', found 'cars'"),
+    ("delta 0.3; e0 A->B . e1 B->A : 0.5", "1:12: expected 'cars', found 'e0'"),
+    ("delta 0.3; cars ; e0 A->B . e1 B->A : 0.5",
+     "1:17: expected at least one car name, found ';'"),
+    ("delta 0.3; cars A B; e0 A->B . e1 B->A : 0.5 x",
+     "1:46: trailing input after specification, found 'x'"),
+    ("delta 0.3; cars A B; e0 A->B e1 B->A : 0.5",
+     "1:30: expected '.' or ':' after event, found 'e1'"),
+    ("delta 1.2.3; cars A B; e0 A->B . e1 B->A : 0.5", "1:7: bad number '1.2.3'"),
+], ids=["no-delta", "no-cars", "no-car-names", "trailing-input", "no-dot-or-colon",
+        "bad-number"])
+def test_check_reports_each_parse_error_at_its_position(tmp_path, capsys, text, message):
+    path = tmp_path / "broken.psl"
+    path.write_text(text + "\n")
+    assert run(capsys, ["check", "--spec", str(path)]) == (2, "", f"error: {message}\n")
 
 
 def test_synth_outputs(synth_dir):
@@ -576,6 +594,13 @@ def test_feasible_rejects_malformed_grids(spec_file, capsys, flag, grid, message
     assert err == f"error: {message}\n"
 
 
+def test_feasible_rejects_an_ill_posed_spec(tmp_path, capsys):
+    path = tmp_path / "short.psl"
+    path.write_text("delta 0.3; cars A B; e0 A->B : 0.5\n")
+    assert run(capsys, ["feasible", "--spec", str(path)]) == (
+        1, "", "error: path 'e0' has 1 event(s); a dialogue needs at least two events\n")
+
+
 def test_feasible_grid_points_are_exact(spec_file, capsys):
     code, out, _ = run(capsys, [
         "feasible", "--spec", str(spec_file),
@@ -731,6 +756,56 @@ def test_csa_file_with_a_repeated_entry_is_rejected(tmp_path, spec_file, synth_d
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+CSA_COMMANDS = [["verify"], ["simulate", "--runs", "10"],
+                ["simulate", "--runs", "10", "--traces", "--out", "{out}"]]
+CSA_COMMAND_IDS = ["verify", "simulate", "simulate-traces"]
+
+
+@pytest.mark.parametrize("command", CSA_COMMANDS, ids=CSA_COMMAND_IDS)
+@pytest.mark.parametrize("cars, message", [
+    ("AA", "two CSAs share the owner A"),
+    ("A", "event snd A->B(d) references a car with no CSA"),
+], ids=["one-owner-twice", "a-car-without-csa"])
+def test_csa_files_must_give_each_car_one_csa(tmp_path, spec_file, synth_dir, capsys, command,
+                                              cars, message):
+    out_dir = tmp_path / "traces"
+    argv = [arg.format(out=out_dir) for arg in command]
+    argv += [str(synth_dir / f"{car}.json") for car in cars] + ["--spec", str(spec_file)]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
+def later_loop_csas() -> list:
+    """Hand-written CSAs whose second sequence loops: after the e0 call A
+    stops, after the e1 call it times out for ever."""
+    looper = Csa(
+        owner="A",
+        states=("s0", "s1", "s2"),
+        vars=("nu",),
+        init="s0",
+        finals=frozenset({"s1", "s2"}),
+        transitions={
+            ("s0", EnvEvent(LocalEvent("e0", "B", None, "env"))): "s1",
+            ("s0", EnvEvent(LocalEvent("e1", "B", None, "env"))): "s2",
+            ("s2", TimeoutUpd("nu")): "s2",
+        },
+    )
+    return [looper, Csa("B", ("r0",), (), "r0", frozenset({"r0"}), {})]
+
+
+@pytest.mark.parametrize("command", CSA_COMMANDS, ids=CSA_COMMAND_IDS)
+def test_a_cycle_in_a_later_sequence_leaves_no_output(tmp_path, capsys, command):
+    # Every sequence is explored before the first line is printed.
+    spec = tmp_path / "later.psl"
+    spec.write_text("delta 0.35; cars A B; (e0 A->B . f B->A : 0.5) | e1 A->B . g B->A : 0.5\n")
+    out_dir = tmp_path / "traces"
+    argv = [arg.format(out=out_dir) for arg in command]
+    argv += write_csas(tmp_path, later_loop_csas()) + ["--spec", str(spec)]
+    assert run(capsys, argv) == (3, "", "error: deduction cycle: a configuration repeats with "
+                                        "no medium decision in between\n")
+    assert not out_dir.exists()
 
 
 def test_main_builds_the_parser_once_per_process(spec_file, synth_dir, capsys, monkeypatch):

@@ -2,9 +2,9 @@
 
 These tests rebuild results through independent routes: the exact
 synchronization probability is recomputed by enumerating every distinct
-deduced sequence via the public single-step interface, the solver's optimum is
-recomputed by brute-force enumeration in (total, lexicographic) order, and CLI
-determinism is re-checked across separate processes with different hash seeds.
+deduced sequence with the one-step `reference_stepper`, the solver's optimum
+is recomputed by brute-force enumeration in (total, lexicographic) order, and
+CLI determinism is re-checked across separate processes with different hash seeds.
 """
 
 import itertools
@@ -22,10 +22,7 @@ from protoforge import (
     check_correctness,
     enumerate_sequences,
     explore_sync,
-    global_steps,
-    initial_config,
     parse_spec,
-    project,
     solve_opt,
     sync_prob,
     synthesize_all,
@@ -34,6 +31,7 @@ from protoforge import (
 from protoforge.semantics import BroadcastItem, EnvItem, RecvItem, SysItem, TimeoutItem
 from protoforge.speclang import events_of
 from conftest import EXAMPLE_TEXT, MIXED_TEXT, random_dialogue, reference_receiver, reference_sender
+from reference_stepper import global_steps, initial_config, project
 
 
 def _actors(rho):

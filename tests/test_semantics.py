@@ -9,8 +9,6 @@ from protoforge import (
     Csa,
     DivergenceDetected,
     EnvEvent,
-    GlobalConfig,
-    LocalConfig,
     LocalEvent,
     Message,
     SysCond,
@@ -18,10 +16,7 @@ from protoforge import (
     check_correctness,
     enumerate_sequences,
     explore_sync,
-    global_steps,
-    initial_config,
     parse_spec,
-    project,
     run_monte_carlo,
     sync_prob,
     synthesize_for_car,
@@ -38,6 +33,7 @@ from conftest import (
     timeout_loop_csas,
     trap_loop_csas,
 )
+from reference_stepper import GlobalConfig, LocalConfig, global_steps, initial_config, project
 
 # Exact synchronization probability of snd.ack with bounds (3, 1) at drop
 # probability 0.35, pinned by the exhaustive deduction below and equal to the

@@ -11,6 +11,7 @@ from protoforge import (
     Or,
     Seq,
     SysCond,
+    event_bindings,
     export_dot,
     export_json,
     isomorphic,
@@ -193,3 +194,11 @@ def test_alternatives_that_begin_alike_are_not_synthesized(text):
     for car in full.cars:
         with pytest.raises(NotWellPosed, match="both begin with event"):
             synthesize_for_car(full.protocol, car, bounds)
+
+
+def test_event_bindings_number_a_third_reuse_of_a_name():
+    # The second e takes the suffix 2, so the third steps on to 3.
+    protocol = parse_spec("delta 0.3; cars A B C; e A->B . e B->A . e A->C : 0.5").protocol
+    bindings = event_bindings(protocol)
+    got = [(bindings[e].counter, bindings[e].message.id) for e in events_of(protocol)]
+    assert got == [("nu_e", "m_e"), ("nu_e_2", "m_e_2"), ("nu_e_3", "m_e_3")]

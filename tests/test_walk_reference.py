@@ -1,9 +1,10 @@
 """Monte Carlo against a plain reference walk.
 
 `run_monte_carlo` walks next-medium-node tables for untraced runs and steps
-its engine for traced ones.  The reference here steps the raw execution
-engine one configuration at a time, draws one number at every medium decision
-and builds the deduced sequence as it goes, the way the global rules read.
+its engine for traced ones.  The reference here steps the execution engine,
+without its zeroing of dead counters, one configuration at a time, draws one
+number at every medium decision and builds the deduced sequence as it goes,
+the way the global rules read.
 All three must give the same outcome, deduced sequence and final states for
 every run of every seed.
 Building the tables must also explore no more configurations than the exact
@@ -23,9 +24,10 @@ from protoforge import (
     run_monte_carlo,
     synthesize_for_car,
 )
-from protoforge.semantics import _DEAD, _Engine, _Graph, _Tables
+from protoforge.semantics import _DEAD, _Graph, _Tables
 from protoforge.speclang import GlobalEvent, events_of
 from conftest import dead_deduction_csas, medium_loop_csas, random_dialogue
+from reference_stepper import UnreducedEngine
 
 # The three `simulate` specifications of the benchmark, with its fixed bounds.
 BENCH_SPECS = (
@@ -56,7 +58,7 @@ CASES = _cases()
 
 def reference_runs(csas, drop_prob, sigma, runs, seed):
     """(outcome, rho, final_states) per run, one configuration per step."""
-    engine = _Engine(csas, sigma)
+    engine = UnreducedEngine(csas, sigma)
     rng = random.Random(str(seed))
     out = []
     for _ in range(runs):
@@ -68,15 +70,16 @@ def reference_runs(csas, drop_prob, sigma, runs, seed):
             shape = engine.expand(cfg)
             if shape[0] == "medium":
                 dropped = drop_prob > 0.0 and rng.random() < drop_prob
-                step = shape[2] if dropped else shape[1][0]
+                nxt, items = shape[2] if dropped else shape[1][0]
             elif shape[1]:
-                step = shape[1][0]
+                nxt, items = shape[1][0]
             else:
                 break  # stuck
-            rho = (rho if step.kind == "free" else rho[:-1]) + [str(i) for i in step.items]
-            if step.cfg is _DEAD:
+            # A step from a broadcast tail delivers, drops or discards the broadcast.
+            rho = (rho[:-1] if cfg[2][0] == "b" else rho) + [str(i) for i in items]
+            if nxt is _DEAD:
                 break
-            cfg = step.cfg
+            cfg = nxt
         else:
             raise AssertionError(f"reference run longer than {MAX_STEPS} steps")
         finals = {m.owner: m.state_names[cfg[0][x][0]] for x, m in enumerate(engine.machines)}

@@ -56,6 +56,8 @@ from typing import Sequence, Union
 from .errors import NotWellPosed, SequenceTooShort
 from .speclang import FullSpec, SpecNode, enumerate_sequences, events_of, well_posed
 
+DEFAULT_CAP = 512  # the default largest retransmission bound searched
+
 
 def _check_delta(drop_prob: float):
     if not 0.0 <= drop_prob <= 1.0:
@@ -173,7 +175,7 @@ def _constraints(spec: SpecNode) -> tuple:
     return events, constraints
 
 
-def solve_opt(spec: SpecNode, drop_prob: float, cap: int = 512) -> BoundsResult:
+def solve_opt(spec: SpecNode, drop_prob: float, cap: int = DEFAULT_CAP) -> BoundsResult:
     """Minimal-total retransmission bounds meeting every sequence requirement.
 
     Returns a mapping from each event (in first-occurrence order) to its
@@ -260,7 +262,11 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
 
         def go(j, remaining):
             if j == k - 1:
-                if remaining < lower[j] or remaining > top:
+                # A guard, unreachable while P is monotone: vec[:j] + [top] passed
+                # the pruning test at level j - 1 and has a smaller total, so it
+                # was found first.  remaining >= lower[j] always holds: level
+                # j - 1 left suffix_min[j] (well_posed gives k >= 2).
+                if remaining > top:
                     return False
                 vec[j] = remaining
                 return feasible(vec)
@@ -292,7 +298,7 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
     return Infeasible(proven=False, reason=f"no feasible bounds with every bound <= {cap}")
 
 
-def realizable(full: FullSpec, cap: int = 512) -> bool:
+def realizable(full: FullSpec, cap: int = DEFAULT_CAP) -> bool:
     """Well-posed, with feasible bounds at the specification's drop bound."""
     if not well_posed(full.protocol).ok:
         return False

@@ -18,7 +18,7 @@ input or I/O error (including a grid with a non-finite or, for --grid-n,
 non-integer value, a grid of more than MAX_GRID_POINTS points, and medium
 parameters out of their domain), 3 exploration budget exhausted or a cycle
 in the deductions of hand-written CSAs.
-PROTOFORGE_BUDGET overrides the budget of distinct configurations.
+Only PROTOFORGE_BUDGET sets the budget of distinct configurations (default 10^7).
 
 `main` may be called any number of times in one process; the argument parser
 is built on first use and shared by every later call.
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", type=float, default=None,
                        help="override the drop-probability bound")
         if cap:
-            p.add_argument("--cap", type=_int_at_least(0), default=512,
+            p.add_argument("--cap", type=_int_at_least(0), default=bounds_mod.DEFAULT_CAP,
                            help="largest retransmission bound searched")
         if csas:
             p.add_argument("csas", nargs="+", metavar="CSA.json")
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("feasible", help="realizability sweep over medium parameters")
     p.add_argument("--spec", required=True, help="protocol specification (.psl)")
-    p.add_argument("--cap", type=_int_at_least(0), default=512,
+    p.add_argument("--cap", type=_int_at_least(0), default=bounds_mod.DEFAULT_CAP,
                    help="largest retransmission bound searched")
     p.add_argument("--grid-n", default="2:11:1", help="car-count grid START:STOP:STEP")
     p.add_argument("--grid-dmax", default="100:1000:100", help="data-length grid")

@@ -3,8 +3,9 @@ realizability over parameter grids.
 
 The worst-case data rate on the shared medium is r = (N - 2) * d_max / tau_min
 (the two communicating cars are excluded from the N sharing it), and the drop
-probability follows the logistic curve delta(r) = 1 / (1 + a * exp(-b * r)),
-which grows from 1/(1 + a) at r = 0 toward 1 under load.
+probability follows one logistic curve with fixed constants, SIGMOID_SCALE a
+and SIGMOID_RATE b: delta(r) = 1 / (1 + a * exp(-b * r)), which grows from
+1/(1 + a) = 0.2 at r = 0 toward 1 under load.
 
 `feasibility_sweep` solves the bounds once per distinct delta: delta depends
 only on r, and many grid points share an r (the default 1000-point grid of
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .bounds import Infeasible, _constraints, _solve
+from .bounds import DEFAULT_CAP, Infeasible, _constraints, _solve
 from .errors import InvalidParams
 from .speclang import SpecNode
 
@@ -34,8 +35,6 @@ class MediumParams:
     n_cars: int
     d_max: float
     tau_min: float
-    a: float = SIGMOID_SCALE
-    b: float = SIGMOID_RATE
 
     def __post_init__(self):
         if self.n_cars < 2:
@@ -44,10 +43,6 @@ class MediumParams:
             raise InvalidParams(f"data length must be nonnegative, got {self.d_max}")
         if self.tau_min <= 0:
             raise InvalidParams(f"minimum delay must be positive, got {self.tau_min}")
-        if self.a <= 0:
-            raise InvalidParams(f"sigmoid scale must be positive, got {self.a}")
-        if self.b < 0:
-            raise InvalidParams(f"sigmoid rate must be nonnegative, got {self.b}")
 
     @property
     def rate(self) -> float:
@@ -58,13 +53,13 @@ def _rate(n_cars, d_max, tau_min) -> float:
     return (n_cars - 2) * d_max / tau_min
 
 
-def _logistic(rate, a, b) -> float:
-    return 1.0 / (1.0 + a * math.exp(-b * rate))
+def _logistic(rate) -> float:
+    return 1.0 / (1.0 + SIGMOID_SCALE * math.exp(-SIGMOID_RATE * rate))
 
 
 def drop_prob(params: MediumParams) -> float:
     """Drop probability 1 / (1 + a * exp(-b * r)); always strictly inside (0, 1)."""
-    return _logistic(params.rate, params.a, params.b)
+    return _logistic(params.rate)
 
 
 class SweepRow(NamedTuple):
@@ -82,7 +77,7 @@ def feasibility_sweep(
     grid_n: Iterable[int],
     grid_dmax: Iterable[float],
     grid_tau: Iterable[float],
-    cap: int = 512,
+    cap: int = DEFAULT_CAP,
 ) -> list[SweepRow]:
     """Realizability of the specification at every grid point, in grid order."""
     grid_n, grid_dmax, grid_tau = list(grid_n), list(grid_dmax), list(grid_tau)
@@ -98,7 +93,7 @@ def feasibility_sweep(
         for dm in grid_dmax:
             for tau in grid_tau:
                 rate = _rate(n, dm, tau)
-                delta = _logistic(rate, SIGMOID_SCALE, SIGMOID_RATE)
+                delta = _logistic(rate)
                 outcome = outcome_at.get(delta)
                 if outcome is None:
                     solved = _solve(events, constraints, delta, cap)

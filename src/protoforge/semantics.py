@@ -378,12 +378,10 @@ class _Graph:
     single successors ends in.  The budget bounds the distinct configs.
     """
 
-    def __init__(self, csas, sigma, drop_prob, budget=None):
+    def __init__(self, csas, sigma, drop_prob):
         self.engine = _Engine(csas, sigma)
         self.drop_prob = drop_prob
-        if budget is None:
-            budget = int(os.environ.get("PROTOFORGE_BUDGET") or DEFAULT_BUDGET)
-        self.budget = budget
+        self.budget = int(os.environ.get("PROTOFORGE_BUDGET") or DEFAULT_BUDGET)
         self.nodes: dict = {}
         self.branching = False  # some node has more than one delivery or free successor
         self.root = self.node(self.engine.initial())
@@ -458,7 +456,6 @@ def explore_sync(
     csas: Sequence[Csa],
     drop_prob: float,
     sigma: Sequence[GlobalEvent],
-    budget: Optional[int] = None,
 ) -> ExplorationResult:
     """Sum the probabilities of all deductions that synchronize sigma, exactly.
 
@@ -469,7 +466,7 @@ def explore_sync(
     over its successors.  Failure mass is summed alongside; a cycle raises
     DivergenceDetected.  The pass runs in _EXACT on the decimal of drop_prob.
     """
-    graph = _Graph(csas, sigma, drop_prob, budget)
+    graph = _Graph(csas, sigma, drop_prob)
     d = Decimal(repr(drop_prob))
     with localcontext(_EXACT):
         rho = 1 - d

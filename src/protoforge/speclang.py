@@ -111,21 +111,15 @@ class FullSpec:
 def events_of(spec: SpecNode) -> list[GlobalEvent]:
     """All distinct events of the tree, in depth-first first-occurrence order."""
     seen: dict[GlobalEvent, None] = {}
-
-    def walk(node):
-        if isinstance(node, Leaf):
-            seen.setdefault(node.event)
-        elif isinstance(node, Seq):
-            seen.setdefault(node.event)
-            walk(node.rest)
+    stack = [spec]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Or):
+            stack += node.right, node.left
         else:
-            walk(node.left)
-            walk(node.right)
-
-    try:
-        walk(spec)
-    finally:
-        del walk  # it refers to itself: deleting it breaks that reference cycle
+            seen.setdefault(node.event)
+            if isinstance(node, Seq):
+                stack.append(node.rest)
     return list(seen)
 
 
@@ -353,20 +347,15 @@ def enumerate_sequences(spec: SpecNode) -> list[PSequence]:
     from the root to a leaf and p is that leaf's annotation.
     """
     out: dict[PSequence, None] = {}
-
-    def walk(node, prefix):
+    stack = [(spec, ())]
+    while stack:
+        node, prefix = stack.pop()
         if isinstance(node, Leaf):
             out.setdefault(PSequence(prefix + (node.event,), node.p))
         elif isinstance(node, Seq):
-            walk(node.rest, prefix + (node.event,))
+            stack.append((node.rest, prefix + (node.event,)))
         else:
-            walk(node.left, prefix)
-            walk(node.right, prefix)
-
-    try:
-        walk(spec, ())
-    finally:
-        del walk  # see events_of
+            stack += (node.right, prefix), (node.left, prefix)
     return list(out)
 
 
@@ -413,19 +402,6 @@ def well_posed(spec: SpecNode) -> WellPosednessReport:
     event's destination and vice versa.
     """
     violations = []
-
-    def starts(node, path):
-        # The events that begin node's alternatives; reports those two share.
-        if isinstance(node, Seq):
-            starts(node.rest, path + (node.event,))
-        if not isinstance(node, Or):
-            return {node.event: None}
-        left, right = starts(node.left, path), starts(node.right, path)
-        where = f"after path '{'.'.join(e.name for e in path)}'" if path else "at the root"
-        violations.extend(Violation(path, f"alternatives {where} both begin with event '{e}'; "
-                                          "write it once, before the '|'") for e in left if e in right)
-        return {**left, **right}
-
     for pseq in enumerate_sequences(spec):
         events = pseq.events
         names = ".".join(e.name for e in events)
@@ -444,8 +420,19 @@ def well_posed(spec: SpecNode) -> WellPosednessReport:
                     f"({cur.src}->{cur.dst} is followed by {nxt.src}->{nxt.dst}; the "
                     "two ASCs must take turns triggering)",
                 ))
-    try:
-        starts(spec, ())
-    finally:
-        del starts  # see events_of
+    _starts(spec, (), violations)
     return WellPosednessReport(ok=not violations, violations=tuple(violations))
+
+
+def _starts(node: SpecNode, path: tuple, violations: list) -> dict:
+    # The events that begin node's alternatives; appends to violations one
+    # Violation per event that two alternatives of one '|' share.
+    if isinstance(node, Seq):
+        _starts(node.rest, path + (node.event,), violations)
+    if not isinstance(node, Or):
+        return {node.event: None}
+    left, right = _starts(node.left, path, violations), _starts(node.right, path, violations)
+    where = f"after path '{'.'.join(e.name for e in path)}'" if path else "at the root"
+    violations.extend(Violation(path, f"alternatives {where} both begin with event '{e}'; "
+                                      "write it once, before the '|'") for e in left if e in right)
+    return {**left, **right}

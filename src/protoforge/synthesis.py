@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .bounds import Infeasible, solve_opt
+from .bounds import DEFAULT_CAP, Infeasible, solve_opt
 from .csa import (
     BroadcastCond,
     Condition,
@@ -166,7 +166,7 @@ class SynthesisResult:
     bounds: dict[GlobalEvent, int]
 
 
-def synthesize_all(full: FullSpec, cap: int = 512) -> SynthesisResult:
+def synthesize_all(full: FullSpec, cap: int = DEFAULT_CAP) -> SynthesisResult:
     """Check well-posedness, solve for minimal retransmission bounds, and
     synthesize a CSA for every car in the specification's car set."""
     solved = solve_opt(full.protocol, full.delta, cap=cap)

@@ -16,7 +16,7 @@ from protoforge import (
     sync_prob_two,
 )
 from protoforge.speclang import enumerate_sequences, events_of
-from conftest import random_dialogue
+from conftest import EXAMPLE_TEXT, random_dialogue
 
 # Pinned by the exhaustive deduction oracle (see test_semantics); kept here as
 # regression constants for the closed form and the recursion.
@@ -49,6 +49,20 @@ def test_sync_prob_rejects_short_sequences():
         sync_prob([3], 0.2)
     with pytest.raises(SequenceTooShort):
         sync_prob([], 0.2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sync_prob_two(-1, 0, 0.5), "retransmission bounds must be nonnegative"),
+    (lambda: sync_prob([1, -1, 2], 0.5), "retransmission bounds must be nonnegative"),
+    (lambda: sync_prob([1, 1], 1.5), "drop probability 1.5 outside [0, 1]"),
+    (lambda: sync_prob([1, 1, 1], -0.1), "drop probability -0.1 outside [0, 1]"),
+    (lambda: solve_opt(parse_spec(EXAMPLE_TEXT).protocol, 0.35, cap=-1),
+     "cap must be nonnegative"),
+], ids=["negative-pair-bound", "negative-bound", "delta-above-1", "delta-below-0", "negative-cap"])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_sync_prob_lossless_any_length():

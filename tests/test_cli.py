@@ -1,6 +1,7 @@
 import argparse
 import gc
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -572,6 +573,7 @@ def _grid_must_have(grid, what):
 
 
 @pytest.mark.parametrize("flag, grid, message", [
+    ("--grid-n", "1:2", "grid '1:2' is not of the form START:STOP:STEP"),
     ("--grid-n", "2:4:nan", _grid_must_have("2:4:nan", "finite")),
     ("--grid-n", "nan:4:1", _grid_must_have("nan:4:1", "finite")),
     # Rejected before the grid is filled, which would otherwise never end.
@@ -658,6 +660,40 @@ def test_simulate_negative_runs_rejected(spec_file, synth_dir, capsys):
         assert code == 2
         assert out == ""
         assert "--runs" in err
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["check", "--spec", "s.psl", "--cap", "x"],
+     "usage: protoforge check [-h] --spec SPEC [--delta DELTA] [--cap CAP]\n"
+     "protoforge check: error: argument --cap: invalid int value: 'x'\n"),
+    (["simulate", "A.json", "--spec", "s.psl", "--runs", "x"],
+     "usage: protoforge simulate [-h] --spec SPEC [--delta DELTA] [--runs RUNS] [--seed SEED] "
+     "[--traces] [--out OUT] CSA.json [CSA.json ...]\n"
+     "protoforge simulate: error: argument --runs: invalid int value: 'x'\n"),
+], ids=["cap", "runs"])
+def test_non_integer_counts_rejected(capsys, monkeypatch, argv, usage):
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line
+    assert rejected(capsys, argv) == (2, "", usage)
+
+
+def test_every_cap_default_is_the_one_in_bounds():
+    # Each library function with a cap parameter and each --cap option takes
+    # its default from bounds.DEFAULT_CAP.
+    defaults = {
+        f"{mod.__name__}.{name}": param.default
+        for mod in (protoforge.bounds, protoforge.medium, protoforge.synthesis)
+        for name, fn in vars(mod).items()
+        if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+        for param in [inspect.signature(fn).parameters.get("cap")]
+        if param is not None and param.default is not param.empty
+    }
+    assert sorted(defaults) == [
+        "protoforge.bounds.realizable", "protoforge.bounds.solve_opt",
+        "protoforge.medium.feasibility_sweep", "protoforge.synthesis.synthesize_all",
+    ]
+    options = [build_parser().parse_args(argv + ["--spec", "s.psl"]).cap
+               for argv in (["check"], ["synth", "--out", "o"], ["feasible"])]
+    assert {*defaults.values(), *options} == {protoforge.bounds.DEFAULT_CAP}
 
 
 def test_cap_zero_is_accepted(spec_file, capsys):

@@ -329,11 +329,6 @@ def test_uninvolved_car_does_not_block_success(snd_ack):
     assert explore_sync(csas, 0.35, snd_ack).probability == pytest.approx(R_SND_ACK, abs=1e-12)
 
 
-def test_divergence_budget(reference_csas, snd_ack):
-    with pytest.raises(DivergenceDetected):
-        explore_sync(reference_csas, 0.35, snd_ack, budget=3)
-
-
 def test_budget_env_override(monkeypatch, reference_csas, snd_ack):
     monkeypatch.setenv("PROTOFORGE_BUDGET", "2")
     with pytest.raises(DivergenceDetected):

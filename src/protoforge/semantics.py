@@ -37,6 +37,7 @@ import random
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 from typing import Optional, Sequence
 
@@ -56,6 +57,21 @@ from .errors import DivergenceDetected
 from .speclang import GlobalEvent, SpecNode, enumerate_sequences
 
 DEFAULT_BUDGET = 10_000_000  # distinct configs; PROTOFORGE_BUDGET overrides it
+
+
+def _budget() -> int:
+    """The exploration budget: PROTOFORGE_BUDGET, or DEFAULT_BUDGET when it
+    is unset or empty.  Anything but a positive integer raises ValueError."""
+    text = os.environ.get("PROTOFORGE_BUDGET")
+    if not text:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"PROTOFORGE_BUDGET must be a positive integer, got {text!r}")
+    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +397,7 @@ class _Graph:
     def __init__(self, csas, sigma, drop_prob):
         self.engine = _Engine(csas, sigma)
         self.drop_prob = drop_prob
-        self.budget = int(os.environ.get("PROTOFORGE_BUDGET") or DEFAULT_BUDGET)
+        self.budget = _budget()
         self.nodes: dict = {}
         self.branching = False  # some node has more than one delivery or free successor
         self.root = self.node(self.engine.initial())
@@ -587,7 +603,10 @@ def run_monte_carlo(
     return MonteCarloResult(runs, successes, runs - successes, successes / runs, traces)
 
 
-_END_SUCCESS, _END_FAILURE = -1, -2  # walk-table entries for the end of a run
+# Walk-table entries for the end of a run.  _Tables.walk counts successes
+# from the sum of the end codes, so they must stay -1 and -2: with s
+# successes in n runs the codes sum to -s - 2(n - s) = s - 2n.
+_END_SUCCESS, _END_FAILURE = -1, -2
 
 
 class _Tables:
@@ -623,15 +642,23 @@ class _Tables:
     def walk(self, runs: int, draw) -> int:
         """Walk runs from the root and return how many succeed.  Each
         medium decision calls draw() once and drops the message when the
-        result is below the drop probability."""
+        result is below the drop probability.
+
+        A run pays only for its draws: a root that is an end decides every
+        run with no draw, each run's first decision reads the root's two
+        entries fetched once, and successes are counted from the sum of the
+        end codes rather than by a compare per run."""
         d, deliver, drop, root = self.graph.drop_prob, self.deliver, self.drop, self.root
-        successes = 0
-        for _ in range(runs):
-            i = root
+        if root < 0:
+            return runs if root == _END_SUCCESS else 0
+        first_drop, first_deliver = drop[root], deliver[root]
+        ends = 0
+        for _ in repeat(None, runs):
+            i = first_drop if draw() < d else first_deliver
             while i >= 0:
                 i = drop[i] if draw() < d else deliver[i]
-            successes += i == _END_SUCCESS
-        return successes
+            ends += i
+        return 2 * runs + ends
 
     def _resolve(self, node: _Node) -> int:
         # The index of node, or of the medium node or end its free nodes lead to.

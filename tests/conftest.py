@@ -192,6 +192,31 @@ def dead_deduction_csas() -> list:
     return [caller, Csa("B", ("r0",), (), "r0", frozenset({"r0"}), {})]
 
 
+def handoff_sync_csas() -> list:
+    """Hand-written CSAs that synchronize e0 without a broadcast: A takes the
+    e0 call, and at the hand-off B's guarded system event completes it, so no
+    run meets a medium decision."""
+    caller = Csa(
+        owner="A",
+        states=("s0", "s1"),
+        vars=(),
+        init="s0",
+        finals=frozenset({"s1"}),
+        transitions={("s0", EnvEvent(LocalEvent("e0", "B", None, "env"))): "s1"},
+    )
+    answerer = Csa(
+        owner="B",
+        states=("r0", "r1"),
+        vars=("c",),
+        init="r0",
+        finals=frozenset({"r1"}),
+        transitions={
+            ("r0", SysCond(LocalEvent("e0", "A", None, "sys"), Condition("c", "<=", 0))): "r1",
+        },
+    )
+    return [caller, answerer]
+
+
 def medium_loop_csas() -> list:
     """Hand-written CSAs that retry through the medium without a bound: A
     rebroadcasts after every lost copy, with a counter no guard reads."""

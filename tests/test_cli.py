@@ -287,6 +287,19 @@ def test_verify_budget_exhaustion(spec_file, synth_dir, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("value", ["abc", "1e3", "-5", "0"])
+def test_a_bad_budget_is_malformed_input(spec_file, synth_dir, capsys, monkeypatch,
+                                         command, value):
+    monkeypatch.setenv("PROTOFORGE_BUDGET", value)
+    code, out, err = run(capsys, [
+        command, str(synth_dir / "A.json"), str(synth_dir / "B.json"),
+        "--spec", str(spec_file),
+    ])
+    assert (code, out) == (2, "")
+    assert f"PROTOFORGE_BUDGET must be a positive integer, got {value!r}" in err
+
+
 def write_csas(directory, csas):
     paths = []
     for csa in csas:

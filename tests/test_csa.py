@@ -96,6 +96,32 @@ def test_validate_peer_equals_owner():
     assert not validate(csa).ok
 
 
+def test_validate_undeclared_final_state():
+    report = validate(Csa("A", ("s0",), (), "s0", frozenset({"s0", "gone"}), {}))
+    assert report.problems == ("final state 'gone' is not declared",)
+
+
+def test_validate_undeclared_transition_source():
+    csa = Csa("A", ("s0",), (), "s0", frozenset(),
+              {("from", EnvEvent(LocalEvent("e", "B", None, "env"))): "s0"})
+    assert validate(csa).problems == ("transition source 'from' is not a declared state",)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Condition("nu", "<", 1), "condition operator must be '<=' or '>', got '<'"),
+    (lambda: Condition("nu", "<=", -1), "condition bound must be nonnegative, got -1"),
+    (lambda: LocalEvent("e", "B", None, "upcall"),
+     "local event kind must be 'env' or 'sys', got 'upcall'"),
+    (lambda: LocalEvent("e", "B", None, "sys", "done"), "unknown special tag 'done'"),
+    (lambda: LocalEvent("e", "B", None, "env", "fail"), "fail events are system-triggered"),
+], ids=["condition-operator", "negative-bound", "event-kind", "special-tag",
+        "env-with-special"])
+def test_label_part_checks(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_isomorphic_up_to_renaming():
     sender = reference_sender()
     assert isomorphic(sender, rename(sender))

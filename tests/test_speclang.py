@@ -3,6 +3,7 @@ import random
 import pytest
 
 from protoforge import (
+    FullSpec,
     GlobalEvent,
     Leaf,
     Or,
@@ -51,6 +52,24 @@ def test_parse_delta_out_of_range():
         parse_spec("delta 1.5; cars A B; e A->B : 0.5")
     assert str(err.value) == "1:7: delta 1.5 outside [0, 1]"
     assert (err.value.line, err.value.column) == (1, 7)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GlobalEvent("e", "A", "A"), "event 'e': source and destination are both 'A'"),
+    (lambda: PSequence((), 0.5), "a p-sequence must contain at least one event"),
+    (lambda: PSequence((SND,), 1.5), "probability 1.5 outside [0, 1]"),
+    (lambda: FullSpec(Leaf(SND, 0.5), -0.1, ("A", "B")),
+     "drop probability bound -0.1 outside [0, 1]"),
+    (lambda: FullSpec(Seq(SND, Leaf(GlobalEvent("f", "B", "C"), 0.5)), 0.1, ("A", "B")),
+     "cars ['C'] appear in events but not in the car set"),
+], ids=["event-to-itself", "empty-p-sequence", "p-sequence-above-1", "delta-below-0",
+        "undeclared-car"])
+def test_tree_constructor_checks(call, message):
+    # The parser reports each of these at its position first, so only a
+    # caller that builds the tree itself meets them.
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_parse_rejects_self_loop_event():

@@ -24,9 +24,9 @@ from protoforge import (
     run_monte_carlo,
     synthesize_for_car,
 )
-from protoforge.semantics import _DEAD, _Graph, _Tables
+from protoforge.semantics import _DEAD, _END_FAILURE, _END_SUCCESS, _Graph, _Tables
 from protoforge.speclang import GlobalEvent, events_of
-from conftest import dead_deduction_csas, medium_loop_csas, random_dialogue
+from conftest import dead_deduction_csas, handoff_sync_csas, medium_loop_csas, random_dialogue
 from reference_stepper import UnreducedEngine
 
 # The three `simulate` specifications of the benchmark, with its fixed bounds.
@@ -119,6 +119,39 @@ def test_walk_matches_reference_on_a_retry_loop(seed, runs):
 def test_walk_matches_reference_on_a_dead_deduction(drop_prob):
     sigma = (GlobalEvent("e0", "A", "B"), GlobalEvent("e1", "A", "B"))
     assert_agrees(dead_deduction_csas(), drop_prob, sigma, 5, 3)
+
+
+@pytest.mark.parametrize("drop_prob", [0.0, 0.5, 1.0])
+def test_walk_matches_reference_with_no_medium_decision(drop_prob):
+    assert_agrees(handoff_sync_csas(), drop_prob, (GlobalEvent("e0", "A", "B"),), 5, 3)
+
+
+NO_MEDIUM = (
+    (handoff_sync_csas, (GlobalEvent("e0", "A", "B"),), _END_SUCCESS),
+    (dead_deduction_csas, (GlobalEvent("e0", "A", "B"), GlobalEvent("e1", "A", "B")),
+     _END_FAILURE),
+)
+
+
+@pytest.mark.parametrize("make, sigma, end", NO_MEDIUM)
+@pytest.mark.parametrize("drop_prob", [0.0, 0.5, 1.0])
+def test_untraced_runs_with_no_medium_decision_draw_nothing(monkeypatch, make, sigma, end,
+                                                             drop_prob):
+    from protoforge import semantics
+
+    draws = []
+
+    class Counted(semantics.random.Random):
+        def random(self):
+            draws.append(None)
+            return super().random()
+
+    monkeypatch.setattr(semantics.random, "Random", Counted)
+    csas = make()
+    assert _Tables(_Graph(csas, sigma, drop_prob)).root == end
+    result = run_monte_carlo(csas, drop_prob, sigma, runs=1000, seed=7)
+    assert result.successes == (1000 if end == _END_SUCCESS else 0)
+    assert draws == []
 
 
 def test_walk_matches_reference_on_random_dialogues():

@@ -26,15 +26,18 @@ The bound optimization minimizes the total of all retransmission bounds
 subject to every sequence of the specification reaching its required
 probability.  The solver exploits that P is nondecreasing in every bound.  It
 returns the zero vector at once when that meets every requirement, and
-otherwise first gallops to an anchor: the least u in 1, 2, 4, ... below the cap whose
-all-u vector is feasible, else the cap itself.  The optimum total is then at
-most k*u for k events, so no bound in it exceeds top = min(cap, k*u), and top
-stands in for the cap from there on: per-variable lower bounds come from
-relaxing all other variables to top, candidate vectors are enumerated in
-nondecreasing total sum (lexicographic within a sum), and a partial vector is
-pruned when it fails some constraint even with its unassigned variables at
-top.  Infeasibility is reported either analytically via the supremum
-rho/(1 - d*rho) or as an infeasible all-cap vector.
+otherwise first gallops: to the least u in 1, 2, 4, ... below the cap whose
+all-u vector is feasible, else to the cap itself.  The optimum total is then
+at most k*u for k events, so no bound in it exceeds top = min(cap, k*u), and
+top stands in for the cap from there on.  The search works in place on one
+candidate vector whose entries hold top until they are fixed.  A bisection
+per variable, with every other entry at top, gives its lower bound.  Entries
+are then fixed left to right, enumerating candidates in nondecreasing total
+sum (lexicographic within a sum), and each partial vector is tested whole:
+with its tail still at top it bounds every constraint from above, so a
+failure prunes it.  Backtracking puts top back.  Infeasibility is reported
+either analytically via the supremum rho/(1 - d*rho) or as an infeasible
+all-cap vector.
 
 Two module-level LRU tables, each bounded at 2^16 entries, hold the values of
 P: `_levels` per (suffix, d), whose last entry is P of a sequence of three or
@@ -234,9 +237,9 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
         top = cap
     else:
         return Infeasible(proven=False, reason=f"no feasible bounds with every bound <= {cap}")
-    # One fixed anchor vector: tightening it per trial would make every trial
-    # a distinct memo key.
-    anchor = [top] * k
+    # One candidate vector: every entry not yet fixed holds top, so a test of
+    # the whole vector bounds each constraint from above (P is monotone).
+    vec = [top] * k
 
     # Tightest per-variable lower bound: the least value that keeps every
     # constraint satisfiable with all other variables at top.
@@ -245,53 +248,46 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
         lo, hi = 0, top
         while lo < hi:
             mid = (lo + hi) // 2
-            trial = anchor.copy()
-            trial[j] = mid
-            if feasible(trial):
+            vec[j] = mid
+            if feasible(vec):
                 hi = mid
             else:
                 lo = mid + 1
+        vec[j] = top
         lower[j] = lo
 
     suffix_min = [0] * (k + 1)
     for j in range(k - 1, -1, -1):
         suffix_min[j] = suffix_min[j + 1] + lower[j]
 
-    def search(total):
-        vec = [0] * k
-
-        def go(j, remaining):
-            if j == k - 1:
-                # A guard, unreachable while P is monotone: vec[:j] + [top] passed
-                # the pruning test at level j - 1 and has a smaller total, so it
-                # was found first.  remaining >= lower[j] always holds: level
-                # j - 1 left suffix_min[j] (well_posed gives k >= 2).
-                if remaining > top:
-                    return False
-                vec[j] = remaining
-                return feasible(vec)
-            hi = min(top, remaining - suffix_min[j + 1])
-            for n in range(lower[j], hi + 1):
-                vec[j] = n
-                # Monotone pruning: unassigned variables at top bound each
-                # constraint from above.
-                if feasible(vec[:j + 1] + anchor[j + 1:]):
-                    if go(j + 1, remaining - n):
-                        return True
-            vec[j] = 0
+    def go(j, remaining):
+        if j == k - 1:
+            # A guard, unreachable while P is monotone: vec[:j] + [top] passed
+            # the pruning test at level j - 1 and has a smaller total, so it
+            # was found first.  remaining >= lower[j] always holds: level
+            # j - 1 left suffix_min[j] (well_posed gives k >= 2).
+            if remaining > top:
+                return False
+            vec[j] = remaining
+            if feasible(vec):
+                return True
+            vec[j] = top
             return False
+        hi = min(top, remaining - suffix_min[j + 1])
+        for n in range(lower[j], hi + 1):
+            vec[j] = n
+            # Monotone pruning: the entries after j still hold top.
+            if feasible(vec) and go(j + 1, remaining - n):
+                return True
+        vec[j] = top
+        return False
 
-        try:
-            return vec if go(0, total) else None
-        finally:
-            del go  # it refers to itself: deleting it breaks that reference cycle
-
-    total = suffix_min[0]
-    while total <= top * k:
-        found = search(total)
-        if found is not None:
-            return {e: found[i] for i, e in enumerate(events)}
-        total += 1
+    try:
+        for total in range(suffix_min[0], top * k + 1):
+            if go(0, total):
+                return {e: vec[i] for i, e in enumerate(events)}
+    finally:
+        del go  # it refers to itself: deleting it breaks that reference cycle
     # A guard, unreachable while P is monotone in every bound: [top] * k is
     # feasible (top >= a u with [u] * k feasible, or top is a feasible cap), and
     # the search at total top * k tries it.

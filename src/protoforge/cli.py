@@ -267,33 +267,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="protoforge", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, csas=False, cap=False):
+    def common(p, *options):
+        # --spec, then those of --delta, --cap and the CSA files named in options.
         p.add_argument("--spec", required=True, help="protocol specification (.psl)")
-        p.add_argument("--delta", type=float, default=None,
-                       help="override the drop-probability bound")
-        if cap:
+        if "delta" in options:
+            p.add_argument("--delta", type=float, default=None,
+                           help="override the drop-probability bound")
+        if "cap" in options:
             p.add_argument("--cap", type=_int_at_least(0), default=bounds_mod.DEFAULT_CAP,
                            help="largest retransmission bound searched")
-        if csas:
+        if "csas" in options:
             p.add_argument("csas", nargs="+", metavar="CSA.json")
 
     p = sub.add_parser("check", help="well-posedness and realizability")
-    common(p, cap=True)
+    common(p, "delta", "cap")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("synth", help="synthesize one CSA per car")
-    common(p, cap=True)
+    common(p, "delta", "cap")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--format", choices=["dot", "json"], default=None,
                    help="restrict CSA output to one format")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="exact correctness check of CSA files")
-    common(p, csas=True)
+    common(p, "delta", "csas")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte Carlo simulation of CSA files")
-    common(p, csas=True)
+    common(p, "delta", "csas")
     p.add_argument("--runs", type=_int_at_least(1), default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--traces", action="store_true",
@@ -302,9 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("feasible", help="realizability sweep over medium parameters")
-    p.add_argument("--spec", required=True, help="protocol specification (.psl)")
-    p.add_argument("--cap", type=_int_at_least(0), default=bounds_mod.DEFAULT_CAP,
-                   help="largest retransmission bound searched")
+    common(p, "cap")
     p.add_argument("--grid-n", default="2:11:1", help="car-count grid START:STOP:STEP")
     p.add_argument("--grid-dmax", default="100:1000:100", help="data-length grid")
     p.add_argument("--grid-tau", default="1:10:1", help="minimum-delay grid")

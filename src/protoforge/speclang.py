@@ -129,7 +129,7 @@ def events_of(spec: SpecNode) -> list[GlobalEvent]:
 
 @dataclass
 class _Token:
-    kind: str  # "ident", "number", or the punctuation itself
+    kind: str  # "ident", "number", "end", or the punctuation itself
     text: str
     pos: int  # offset in the source text
 
@@ -179,34 +179,34 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = list(_tokenize(text))
+        # Errors at the end of the input point at the last token.
+        self.tokens.append(_Token("end", "", self.tokens[-1].pos if self.tokens else 0))
         self.pos = 0
         self.depth = 0  # phi calls under way
         self.path: list[tuple[str, str, str]] = []  # (name, src, dst) of the enclosing events
         self.cars: tuple[str, ...] = ()
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def error(self, message: str):
         tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1].pos if self.tokens else 0
-            raise SpecSyntaxError(message + " (at end of input)", *_where(self.text, last))
-        raise SpecSyntaxError(f"{message}, found {tok.text!r}", *self.at(tok))
+        found = " (at end of input)" if tok.kind == "end" else f", found {tok.text!r}"
+        raise SpecSyntaxError(message + found, *self.at(tok))
 
     def at(self, tok: _Token) -> tuple[int, int]:
         return _where(self.text, tok.pos)
 
     def take(self, kind: str) -> _Token:
         tok = self.peek()
-        if tok is None or tok.kind != kind:
+        if tok.kind != kind:
             self.error(f"expected {kind!r}")
         self.pos += 1
         return tok
 
     def keyword(self, word: str) -> None:
         tok = self.peek()
-        if tok is None or tok.kind != "ident" or tok.text != word:
+        if tok.kind != "ident" or tok.text != word:
             self.error(f"expected {word!r}")
         self.pos += 1
 
@@ -226,7 +226,7 @@ class _Parser:
         self.take(";")
         self.keyword("cars")
         cars = []
-        while self.peek() is not None and self.peek().kind == "ident":
+        while self.peek().kind == "ident":
             cars.append(self.take("ident").text)
         if not cars:
             self.error("expected at least one car name")
@@ -235,7 +235,7 @@ class _Parser:
         self.cars = tuple(cars)
         self.take(";")
         phi = self.phi()
-        if self.peek() is not None:
+        if self.peek().kind != "end":
             self.error("trailing input after specification")
         return FullSpec(protocol=phi, delta=delta, cars=self.cars)
 
@@ -245,7 +245,7 @@ class _Parser:
         self.depth += 1
         node = self.seq()
         tok = self.peek()
-        if tok is not None and tok.kind == "|":
+        if tok.kind == "|":
             self.pos += 1
             node = Or(node, self.phi())
         self.depth -= 1
@@ -253,7 +253,7 @@ class _Parser:
 
     def seq(self) -> SpecNode:
         tok = self.peek()
-        if tok is not None and tok.kind == "(":
+        if tok.kind == "(":
             self.pos += 1
             inner = self.phi()
             self.take(")")
@@ -267,13 +267,13 @@ class _Parser:
                                   "path; each (name, source, destination) may appear once per path",
                                   *self.at(tok))
         tok = self.peek()
-        if tok is not None and tok.kind == ".":
+        if tok.kind == ".":
             self.pos += 1
             self.path.append(triple)
             rest = self.phi()
             self.path.pop()
             return Seq(event, rest)
-        if tok is not None and tok.kind == ":":
+        if tok.kind == ":":
             self.pos += 1
             p = self.take_float()
             if not 0.0 <= p <= 1.0:
@@ -288,7 +288,7 @@ class _Parser:
         dst = self.take("ident")
         data = None
         tok = self.peek()
-        if tok is not None and tok.kind == "(":
+        if tok.kind == "(":
             self.pos += 1
             data = self.take("ident").text
             self.take(")")

@@ -162,6 +162,27 @@ def test_isomorphic_checks_finals_of_unreachable_states():
     assert not isomorphic(a, b) and not isomorphic(b, a)
 
 
+def two_states(*edges) -> Csa:
+    # States s0 (init) and s1 (final), one src -name-> dst edge per triple.
+    return Csa("C", ("s0", "s1"), (), "s0", frozenset({"s1"}),
+               {(src, EnvEvent(LocalEvent(name, "D", None, "env"))): dst
+                for src, name, dst in edges})
+
+
+def test_isomorphic_checks_transition_counts():
+    a = two_states(("s0", "e", "s1"))
+    b = two_states(("s0", "e", "s1"), ("s1", "f", "s1"))
+    assert isomorphic(a, b) is False and isomorphic(b, a) is False
+
+
+def test_isomorphic_checks_targets_already_paired():
+    # The f edges have the same shape, but a's goes back to s0 while b's
+    # stays at s1, which is already paired with a's s1.
+    a = two_states(("s0", "e", "s1"), ("s1", "f", "s0"))
+    b = two_states(("s0", "e", "s1"), ("s1", "f", "s1"))
+    assert isomorphic(a, b) is False and isomorphic(b, a) is False
+
+
 def test_isomorphic_checks_bounds_in_conditions():
     assert not isomorphic(reference_sender(n_snd=3), reference_sender(n_snd=2))
 

@@ -54,3 +54,27 @@ def test_pair_memo_holds_only_two_event_sequences(text, monkeypatch):
     solve_opt(full.protocol, full.delta)
     assert bounds._levels.cache_info().currsize > 0
     assert bounds._sync_prob.cache_info().currsize == len(pairs)
+
+
+@pytest.mark.parametrize("text, answer, table, stats", [
+    (EXAMPLE_TEXT, (3, 1, 2), "_sync_prob", (18, 16)),
+    (_chain(2, "0.6", "0.5"), (6, 2), "_sync_prob", (1, 14)),
+    (_chain(3, "0.6", "0.5"), (9, 7, 3), "_levels", (40, 66)),
+    (_chain(4, "0.6", "0.5"), (10, 9, 8, 3), "_levels", (167, 179)),
+    (_chain(5, "0.6", "0.5"), (10, 10, 10, 9, 4), "_levels", (1543, 987)),
+    (_chain(5, "0.5", "0.5"), (4, 4, 4, 4, 2), "_levels", (324, 328)),
+    (_chain(6, "0.5", "0.5"), (4, 5, 5, 5, 4, 2), "_levels", (2858, 2082)),
+    (_chain(5, "0.7", "0.342"), (13, 13, 13, 10, 2), "_levels", (4395, 2081)),
+], ids=["example", "chain2-0.6", "chain3-0.6", "chain4-0.6", "chain5-0.6", "chain5-0.5",
+        "chain6-0.5", "chain5-0.7"])
+def test_cold_solve_does_pinned_work(text, answer, table, stats):
+    # The memo hits and misses of a cold solve count the distinct bound
+    # vectors it evaluates and how often it comes back to them: a change to
+    # the search order or to its pruning moves them even when the answer
+    # stays the same.
+    full = parse_spec(text)
+    for memo in memo_tables().values():
+        memo.cache_clear()
+    assert tuple(solve_opt(full.protocol, full.delta).values()) == answer
+    info = getattr(bounds, table).cache_info()
+    assert (info.hits, info.misses) == stats

@@ -100,6 +100,19 @@ def test_parse_syntax_error_carries_position():
     assert err.value.line == 2
 
 
+
+@pytest.mark.parametrize("text, message", [
+    ("", "1:1: expected 'delta' (at end of input)"),
+    ("  # only a comment\n", "1:1: expected 'delta' (at end of input)"),
+    ("delta 0.1; cars", "1:12: expected at least one car name (at end of input)"),
+    ("delta 0.1; cars A B;\n  snd A->B(d) .", "2:15: expected 'ident' (at end of input)"),
+    ("delta 0.1; cars A B; e A->B : 0.5 )", "1:35: trailing input after specification, found ')'"),
+], ids=["empty", "comment", "no-cars", "dangling-dot", "trailing"])
+def test_parse_error_at_end_points_at_the_last_token(text, message):
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_spec(text)
+    assert str(err.value) == message
+
 def chain_text(n):
     return " . ".join(f"e{i} {'A->B' if i % 2 == 0 else 'B->A'}" for i in range(n))
 

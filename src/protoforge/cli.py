@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
+import locale
 import math
 import os
 import sys
@@ -76,10 +76,15 @@ def _write_text(path: Path, text: str) -> None:
     length: a rerun of the same length reuses the file's blocks instead of
     freeing and allocating them again.  The rewrite is not atomic.
     """
-    with open(path, "w", encoding=io.text_encoding(None),
-              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as f:
-        f.write(text)
-        f.truncate()
+    data = text.encode(locale.getpreferredencoding(False))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        done = 0
+        while done < len(data):  # os.write may write fewer bytes than it is given
+            done += os.write(fd, data[done:])
+        os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
 
 
 def _print_wellposed(report):
@@ -129,7 +134,7 @@ def cmd_synth(args) -> int:
             else:  # an earlier run's file would disagree with bounds.json
                 path.unlink(missing_ok=True)
     named = bounds_by_name(full.protocol, result.bounds)
-    _write_text(out / "bounds.json", json_text(named))
+    _write_text(out / "bounds.json", json_text(named) + "\n")
     print(f"synthesized {len(full.cars)} automata into {out}")
     for name, n in named.items():
         print(f"  bound {name}: {n}")

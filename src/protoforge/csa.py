@@ -11,6 +11,7 @@ configurations (see the semantics module).
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
@@ -144,7 +145,8 @@ class RecvUpd(TransitionLabel):
 
 @dataclass
 class Csa:
-    """A communication service automaton. Treat as immutable after construction."""
+    """A communication service automaton. Treat as immutable after construction:
+    its transition order is computed once, on first use."""
 
     owner: str
     states: tuple[StateId, ...]
@@ -153,11 +155,11 @@ class Csa:
     finals: frozenset[StateId]
     transitions: dict[tuple[StateId, TransitionLabel], StateId]
 
-
-def ordered_transitions(csa: Csa) -> list:
-    """The ((src, label), dst) pairs of csa, by source state and label text:
-    the one order that files, drawings and the execution engine list them in."""
-    return sorted(csa.transitions.items(), key=lambda kv: (kv[0][0], str(kv[0][1])))
+    @functools.cached_property
+    def ordered_transitions(self) -> tuple:
+        """The ((src, label), dst) pairs, by source state and label text: the one
+        order that files, drawings and the execution engine list them in."""
+        return tuple(sorted(self.transitions.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))))
 
 
 @dataclass(frozen=True)
@@ -363,13 +365,6 @@ _BY_KIND = {cls.kind: cls for cls in (EnvEvent, SysCond, TimeoutSys, TimeoutUpd,
                                       RecvSys, RecvUpd)}
 
 
-def _label_to_json(label: TransitionLabel) -> dict:
-    out = {"kind": label.kind}
-    for name in label.__match_args__:
-        out[name] = _PARTS[name].dump(getattr(label, name))
-    return out
-
-
 def _label_from_json(obj: dict) -> TransitionLabel:
     kind = _get(obj, "kind", str)
     cls = _BY_KIND.get(kind)
@@ -378,66 +373,63 @@ def _label_from_json(obj: dict) -> TransitionLabel:
     return cls(*[_PARTS[key].load(_get(obj, key, _PARTS[key].typ)) for key in cls.__match_args__])
 
 
-def export_json(csa: Csa) -> str:
-    doc = {
-        "owner": csa.owner,
-        "states": [{"id": s, "final": s in csa.finals} for s in csa.states],
-        "init": csa.init,
-        "vars": list(csa.vars),
-        "transitions": [
-            {"from": src, "to": dst, "label": _label_to_json(label)}
-            for (src, label), dst in ordered_transitions(csa)
-        ],
-    }
-    return json_text(doc)
+def _lines(items: list, nl: str, brackets: str) -> str:
+    # items' texts between brackets, one a line indented 2 more than nl, the
+    # break and indent of the line the brackets open on: JSON's indent-2 layout.
+    if not items:
+        return brackets
+    inner = nl + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
 
 
-def _write(value, nl: str, out: list) -> None:
-    # Append value's text to out; nl is the line break and indent of the
-    # line that value starts on.
-    if isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            out.append(f"{sep}{_quote(key)}: ")
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def json_text(doc) -> str:
-    """doc as `json.dumps(doc, indent=2) + "\\n"` writes it, byte for byte, for a
-    document of dicts with string keys, lists, strings, booleans and ints.
+def json_text(obj: dict, nl: str = "\n") -> str:
+    """obj, a dict of strings, booleans and ints by string key, as
+    `json.dumps(obj, indent=2)` writes it, byte for byte, opening on a line
+    whose break and indent are nl.
 
     The stdlib runs its pure-Python encoder whenever it indents; this writer
     quotes strings with the C encoder instead.
     """
-    out = []
-    _write(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    items = []
+    for key, value in obj.items():
+        if isinstance(value, str):
+            text = _quote(value)
+        elif isinstance(value, bool):
+            text = "true" if value else "false"
+        elif isinstance(value, int):
+            text = int.__repr__(value)
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        items.append(f"{_quote(key)}: {text}")
+    return _lines(items, nl, "{}")
+
+
+def export_json(csa: Csa) -> str:
+    """csa's file: the bytes of `json.dumps(doc, indent=2)` and a newline, where
+    doc holds its owner, states, init, vars and transitions (see the README).
+
+    The document has a fixed shape, so it is written at fixed indents; only
+    the label parts (`_PARTS[...].dump`) go through json_text.
+    """
+    nl2, nl4, nl6, nl8 = "\n  ", "\n    ", "\n      ", "\n        "
+    finals = csa.finals
+    states = [f'{{{nl6}"id": {_quote(s)},{nl6}"final": {"true" if s in finals else "false"}{nl4}}}'
+              for s in csa.states]
+    transitions = []
+    for (src, label), dst in csa.ordered_transitions:
+        text = (f'{{{nl6}"from": {_quote(src)},{nl6}"to": {_quote(dst)},'
+                f'{nl6}"label": {{{nl8}"kind": {_quote(label.kind)}')
+        for name in label.__match_args__:
+            part = _PARTS[name].dump(getattr(label, name))
+            text += f',{nl8}"{name}": ' + (_quote(part) if isinstance(part, str)
+                                           else json_text(part, nl8))
+        transitions.append(f"{text}{nl6}}}{nl4}}}")
+    doc = [f'"owner": {_quote(csa.owner)}',
+           '"states": ' + _lines(states, nl2, "[]"),
+           f'"init": {_quote(csa.init)}',
+           '"vars": ' + _lines([_quote(v) for v in csa.vars], nl2, "[]"),
+           '"transitions": ' + _lines(transitions, nl2, "[]")]
+    return _lines(doc, "\n", "{}") + "\n"
 
 
 def _object(pairs: list) -> dict:
@@ -509,7 +501,7 @@ def export_dot(csa: Csa) -> str:
         if s in csa.finals:
             attrs.append("style=dotted")
         lines.append(f"  {q(s)}{' [' + ', '.join(attrs) + ']' if attrs else ''};")
-    for (src, label), dst in ordered_transitions(csa):
+    for (src, label), dst in csa.ordered_transitions:
         lines.append(f"  {q(src)} -> {q(dst)} [label={q(label_text(label))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -51,7 +51,6 @@ from .csa import (
     SysCond,
     TimeoutSys,
     TimeoutUpd,
-    ordered_transitions,
 )
 from .errors import DivergenceDetected
 from .speclang import GlobalEvent, SpecNode, enumerate_sequences
@@ -174,7 +173,7 @@ class _Machine:
             items += (SysItem(owner, e.name, e.peer, e.data, e.special),)
             return (fuse, None, _TAIL_OTHER, d, items)
 
-        for (src, label), dst in ordered_transitions(csa):
+        for (src, label), dst in csa.ordered_transitions:
             s, d = self.state_idx[src], self.state_idx[dst]
             pred[d].add(s)
             if isinstance(label, EnvEvent):

@@ -105,42 +105,41 @@ def synthesize_for_car(spec: SpecNode, car: CarId, bounds: BoundsVector) -> Csa:
 
         event = node.event
         msg, counter = bindings[event].message, bindings[event].counter
-        n = bounds[event]
-        retry = Condition(counter, "<=", n)
-        exhausted = Condition(counter, ">", n)
-        env = LocalEvent(event.name, peer=event.dst, data=event.data, kind="env")
-        sys = LocalEvent(event.name, peer=event.src, data=event.data, kind="sys")
-        fail = LocalEvent(event.name, peer=event.dst, kind="sys", special="fail")
-        success = LocalEvent(event.name, peer=event.dst, kind="sys", special="success")
-
-        if isinstance(node, Seq):
+        chain = isinstance(node, Seq)
+        if chain:
             latest = {**latest, (event.src, event.dst): msg}
-            if car == event.src:
-                trans[(start, EnvEvent(env))] = i + 1
-                trans[(i + 1, BroadcastCond(msg, retry))] = i + 3
-                trans[(i + 1, SysCond(fail, exhausted))] = i + 2
+
+        if car == event.src:
+            n = bounds[event]
+            trans[(start, EnvEvent(LocalEvent(event.name, peer=event.dst, data=event.data,
+                                              kind="env")))] = i + 1
+            fail = SysCond(LocalEvent(event.name, peer=event.dst, kind="sys", special="fail"),
+                           Condition(counter, ">", n))
+            send = BroadcastCond(msg, Condition(counter, "<=", n))
+            if chain:
+                trans[(i + 1, send)] = i + 3
+                trans[(i + 1, fail)] = i + 2
                 trans[(i + 3, TimeoutUpd(counter))] = i + 1
                 return syn(node.rest, i + 3, i + 3, latest)
-            if car == event.dst:
-                trans[(start, RecvSys(msg, sys))] = i + 1
-                return syn(node.rest, i + 1, i + 1, latest)
-            return syn(node.rest, start, i, latest)
-
-        # Leaf: the last event of this path.
-        if car == event.src:
+            # Leaf: the last event of this path, retried on the peer's previous message.
             trigger = latest.get((event.dst, event.src))
             assert trigger is not None, "well-posedness guarantees a previous message to re-receive"
-            trans[(start, EnvEvent(env))] = i + 1
-            trans[(i + 1, BroadcastCond(msg, retry))] = i + 2
-            trans[(i + 1, SysCond(fail, exhausted))] = i + 3
+            success = LocalEvent(event.name, peer=event.dst, kind="sys", special="success")
+            trans[(i + 1, send)] = i + 2
+            trans[(i + 1, fail)] = i + 3
             trans[(i + 2, RecvUpd(trigger, counter))] = i + 1
             trans[(i + 2, TimeoutSys(success))] = i + 4
             finals.add(i + 4)
             return i + 5
         if car == event.dst:
-            trans[(start, RecvSys(msg, sys))] = i + 1
+            trans[(start, RecvSys(msg, LocalEvent(event.name, peer=event.src, data=event.data,
+                                                  kind="sys")))] = i + 1
+            if chain:
+                return syn(node.rest, i + 1, i + 1, latest)
             finals.add(i + 1)
             return i + 2
+        if chain:
+            return syn(node.rest, start, i, latest)
         finals.add(start)
         return i + 1
 

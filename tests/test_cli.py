@@ -15,7 +15,6 @@ from protoforge import (
     parse_spec, synthesize_all, synthesize_for_car,
 )
 from protoforge.cli import build_parser, main
-from protoforge.csa import json_text
 from protoforge.speclang import MAX_NESTING
 from conftest import EXAMPLE_TEXT, no_exit_loop_csas, timeout_loop_csas, trap_loop_csas
 
@@ -217,6 +216,29 @@ def test_feasible_rewrites_a_longer_csv_to_the_fresh_bytes(tmp_path, spec_file, 
     assert (fresh / "feasibility.csv").read_text().count("\n") == 1 + 16
 
 
+def test_short_writes_still_write_every_byte(tmp_path, spec_file, capsys, monkeypatch):
+    # os.write may write fewer bytes than it is given; the rest is written next.
+    commands = [["synth", "--spec", str(spec_file)], ["feasible", "--spec", str(spec_file)]]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    for argv in commands:
+        assert run(capsys, argv + ["--out", str(fresh)])[0] == 0
+    reused.mkdir()
+    for name in files_in(fresh):
+        (reused / name).write_bytes(b"junk\n" * 20_000)
+    real_write, calls = os.write, []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return real_write(fd, data[:7])
+
+    monkeypatch.setattr(protoforge.cli.os, "write", short_write)
+    for argv in commands:
+        assert run(capsys, argv + ["--out", str(reused)])[0] == 0
+    monkeypatch.undo()
+    assert files_in(reused) == files_in(fresh)
+    assert len(calls) == sum(-(-len(data) // 7) for data in files_in(fresh).values())
+
+
 def test_simulate_rewrites_longer_traces_to_the_fresh_bytes(tmp_path, spec_file, synth_dir,
                                                              capsys):
     def simulate(out_dir, runs):
@@ -244,8 +266,8 @@ def test_output_files_are_encoded_as_path_write_text_encodes(tmp_path):
     for car, csa in result.csas.items():
         (expected / f"{car}.json").write_text(export_json(csa))
         (expected / f"{car}.dot").write_text(export_dot(csa))
-    (expected / "bounds.json").write_text(json_text(bounds_by_name(parse_spec(text).protocol,
-                                                                   result.bounds)))
+    (expected / "bounds.json").write_text(json.dumps(bounds_by_name(parse_spec(text).protocol,
+                                                                    result.bounds), indent=2) + "\n")
     assert files_in(out) == files_in(expected)
     assert "é".encode() in files_in(out)["Bé.dot"]
 

@@ -24,7 +24,7 @@ from protoforge import (
     synthesize_for_car,
     validate,
 )
-from protoforge.csa import _label_to_json, json_text, ordered_transitions
+from protoforge.csa import _PARTS, json_text
 from protoforge.speclang import events_of
 from conftest import reference_receiver, reference_sender, random_dialogue
 
@@ -315,15 +315,19 @@ def test_each_label_kind_has_one_file_and_dot_form(label, text, dot):
 
 
 def reference_json(csa: Csa) -> str:
-    # The file as the stdlib's indenting encoder writes export_json's document.
+    # The file as the stdlib's indenting encoder writes export_json's document,
+    # its transitions sorted here rather than read from the CSA's cached order.
     doc = {
         "owner": csa.owner,
         "states": [{"id": s, "final": s in csa.finals} for s in csa.states],
         "init": csa.init,
         "vars": list(csa.vars),
         "transitions": [
-            {"from": src, "to": dst, "label": _label_to_json(label)}
-            for (src, label), dst in ordered_transitions(csa)
+            {"from": src, "to": dst,
+             "label": {"kind": label.kind, **{name: _PARTS[name].dump(getattr(label, name))
+                                              for name in label.__match_args__}}}
+            for (src, label), dst in sorted(csa.transitions.items(),
+                                            key=lambda kv: (kv[0][0], str(kv[0][1])))
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -361,20 +365,20 @@ def test_export_json_writes_what_the_stdlib_writes(csa):
     assert export_json(csa) == reference_json(csa)
 
 
-json_docs = st.recursive(
-    st.booleans() | st.integers() | names,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(names, inner, max_size=4),
-    max_leaves=20)
+flat_docs = st.dictionaries(names, st.booleans() | st.integers() | names, max_size=6)
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
-@given(json_docs)
+@given(flat_docs)
+@example({})
 def test_json_text_writes_what_the_stdlib_writes(doc):
-    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    assert json_text(doc) + "\n" == json.dumps(doc, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("doc", [None, 1.5, (1, 2), {1: "a"}], ids=["null", "float", "tuple",
-                                                                   "int-key"])
+# Nested objects and lists are written by export_json around json_text, never by it.
+@pytest.mark.parametrize("doc", [{"a": None}, {"a": 1.5}, {"a": (1, 2)}, {1: "a"}, {"a": {}},
+                                 {"a": []}],
+                         ids=["null", "float", "tuple", "int-key", "object", "list"])
 def test_json_text_rejects_what_csa_files_never_hold(doc):
     with pytest.raises(TypeError):
         json_text(doc)

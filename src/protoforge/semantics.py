@@ -18,12 +18,21 @@ are made; env transitions outside sigma are never taken (for synthesized CSAs
 they can only start zero-contribution branches, and no synthesized state mixes
 env transitions with timeouts or receptions, so rule selection is unaffected).
 
+Every other choice is resolved by one fixed order, the engine's order of
+successors: at a hand-off the cars in owner order, and within a car its
+environment-triggered moves, conditional moves, timeouts and receptions in
+that order, each in `Csa.ordered_transitions` order; a delivered broadcast
+goes to the first reception enabled for it.  Synthesized CSAs never offer
+such a choice; hand-written ones may.  A nondeterministic model has a
+probability only once its choices are resolved, so both checks resolve them
+alike, and the exact value is the probability of the runs Monte Carlo samples.
+
 All these rules are implemented once, in `_Engine`.  Its part that no target
 sequence changes, a `_Machine` per CSA and an integer id per message (the
 message in an engine config is its id), is compiled once per check:
 `check_correctness` compiles each CSA once for all its sequences.  `_Graph`
-builds from the engine one lazily compiled deduction graph per (CSAs, sigma),
-with dead counters zeroed and runs of single successors collapsed.
+builds from the engine one lazily compiled deduction graph per (CSAs, sigma)
+whose nodes are the medium decisions and the ends, with dead counters zeroed.
 `explore_sync` evaluates it backward in exact decimals, and `run_monte_carlo`
 walks int-indexed tables of its next medium nodes, built whole and checked to
 end.  A traced run steps the engine itself from the initial config, drawing at
@@ -359,24 +368,24 @@ class _Engine:
 # ---------------------------------------------------------------------------
 # Deduction graph
 
-_SUCCESS, _FAILURE, _MEDIUM, _FREE = "success", "failure", "medium", "free"
+_SUCCESS, _FAILURE = "success", "failure"
 _OPEN = "open"  # value of a node whose backward pass is under way
 
 
 class _Node:
-    # raw: the engine's successor configs, (delivered, dropped) for a medium
-    # node; succ and drop: those of positive probability as nodes, once
-    # linked; value: (success, failure) mass from the backward pass.
-    __slots__ = ("cfg", "kind", "raw", "succ", "drop", "value")
+    # A medium decision, or one of the two ends below.  raw: the engine's
+    # (delivered, dropped) configs, until link replaces them with deliver and
+    # drop, the outcomes as nodes (None for an outcome of probability 0);
+    # value: the probability of success, from the backward pass.
+    __slots__ = ("raw", "deliver", "drop", "value")
 
-    def __init__(self, cfg, kind, raw=()):
-        self.cfg, self.kind, self.raw, self.drop = cfg, kind, raw, None
-        terminal = kind == _SUCCESS or kind == _FAILURE
-        self.succ = () if terminal else None
-        self.value = ((1, 0) if kind == _SUCCESS else (0, 1)) if terminal else None
+    def __init__(self, raw=None, value=None):
+        self.raw, self.value = raw, value
+        self.deliver = self.drop = None
 
 
-_DEAD_NODE = _Node(_DEAD, _FAILURE)
+_SUCCESS_NODE = _Node(value=1)
+_FAILURE_NODE = _Node(value=0)
 
 
 def _cycle(why: str) -> DivergenceDetected:
@@ -384,13 +393,16 @@ def _cycle(why: str) -> DivergenceDetected:
 
 
 class _Graph:
-    """The deductions of (CSAs, sigma) of positive probability at drop_prob,
-    built lazily.
+    """The deductions of (CSAs, sigma) of positive probability at drop_prob
+    under one scheduler, built lazily.
 
-    Configs come from an engine that zeroes the counters dead at each car's
-    state, which merges configs no guard tells apart.  A free config with a
-    single successor is no node of its own: it maps to the node its run of
-    single successors ends in.  The budget bounds the distinct configs.
+    Where the engine offers a choice that is no medium decision, the graph
+    follows its first successor, and at a medium decision its first
+    delivery; synthesized CSAs offer no such choice.  A node is an end or a
+    medium decision: every config on the way to one maps to it.  Configs
+    come from an engine that zeroes the counters dead at each car's state,
+    which merges configs no guard tells apart.  The budget bounds the
+    distinct configs.
     """
 
     def __init__(self, csas, sigma, drop_prob):
@@ -398,7 +410,7 @@ class _Graph:
         self.drop_prob = drop_prob
         self.budget = _budget()
         self.nodes: dict = {}
-        self.branching = False  # some node has more than one delivery or free successor
+        self.branching = False  # the first-successor order resolved some choice
         self.root = self.node(self.engine.initial())
 
     def node(self, cfg) -> _Node:
@@ -406,7 +418,7 @@ class _Graph:
         room, n_sigma = self.budget - len(nodes), len(engine.sigma)
         while True:
             if cfg is _DEAD:
-                found = _DEAD_NODE
+                found = _FAILURE_NODE
                 break
             found = nodes.get(cfg)
             if found is not None:
@@ -420,32 +432,26 @@ class _Graph:
                     "set PROTOFORGE_BUDGET to raise the limit"
                 )
             if cfg[3] == n_sigma and engine.is_success(cfg):
-                found = _Node(cfg, _SUCCESS)
+                found = _SUCCESS_NODE
                 break
             shape = engine.expand(cfg)
-            if shape[0] == "medium":
-                _, received, dropped = shape
-                self.branching |= len(received) > 1
-                found = _Node(cfg, _MEDIUM, (tuple(s[0] for s in received), dropped[0]))
-                break
             succs = shape[1]
-            if len(succs) != 1:
-                self.branching |= len(succs) > 1
-                found = _Node(cfg, _FREE, tuple(s[0] for s in succs)) if succs else \
-                    _Node(cfg, _FAILURE)
+            if not succs:
+                found = _FAILURE_NODE
+                break
+            self.branching |= len(succs) > 1
+            if shape[0] == "medium":
+                found = _Node((succs[0][0], shape[2][0]))
                 break
             cfg = succs[0][0]
         nodes.update(dict.fromkeys(trail, found))
         return found
 
     def link(self, node):
-        d = self.drop_prob
-        if node.kind == _MEDIUM:
-            delivered, dropped = node.raw
-            node.succ = tuple(map(self.node, delivered)) if d < 1.0 else ()
-            node.drop = self.node(dropped) if d > 0.0 else None
-        else:
-            node.succ = tuple(map(self.node, node.raw))
+        delivered, dropped = node.raw
+        node.raw = None
+        node.deliver = self.node(delivered) if self.drop_prob < 1.0 else None
+        node.drop = self.node(dropped) if self.drop_prob > 0.0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +467,9 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 class ExplorationResult:
     probability: Fraction  # exact, at the decimal of drop_prob
     configs_processed: int  # distinct configs, dead counters zeroed
+    # Some choice that is no medium decision was resolved by the engine's
+    # order; synthesized CSAs never offer one.
     scheduler_branching: bool
-    # |success + failure - 1|, exact; 0 without scheduler branching, where
-    # each deduction carries its own mass.
-    conservation_error: Fraction
 
 
 def explore_sync(
@@ -472,13 +477,14 @@ def explore_sync(
     drop_prob: float,
     sigma: Sequence[GlobalEvent],
 ) -> ExplorationResult:
-    """Sum the probabilities of all deductions that synchronize sigma, exactly.
+    """The probability that the CSAs synchronize sigma, exactly.
 
     A backward pass over the deduction graph: a config in which every
     participating CSA rests in a final state and the projection equals sigma
-    is worth 1, a stuck one 0, a medium node (1 - drop_prob) times the sum
-    over its deliveries plus drop_prob times its drop, a free node the sum
-    over its successors.  Failure mass is summed alongside; a cycle raises
+    is worth 1, a stuck or dead one 0, and a medium node (1 - drop_prob)
+    times its delivery plus drop_prob times its drop.  Choices that are no
+    medium decision are resolved as `run_monte_carlo` resolves them, so the
+    value is the probability of its runs.  A cycle raises
     DivergenceDetected.  The pass runs in _EXACT on the decimal of drop_prob.
     """
     graph = _Graph(csas, sigma, drop_prob)
@@ -491,7 +497,9 @@ def explore_sync(
             if node.value is None:
                 node.value = _OPEN
                 graph.link(node)
-                for child in node.succ if node.drop is None else node.succ + (node.drop,):
+                for child in (node.deliver, node.drop):
+                    if child is None:
+                        continue
                     if child.value is None:
                         stack.append(child)
                     elif child.value is _OPEN:
@@ -499,19 +507,10 @@ def explore_sync(
                                      "acyclic deduction graph")
                 continue
             if node.value is _OPEN:
-                success = sum(child.value[0] for child in node.succ)
-                failure = sum(child.value[1] for child in node.succ)
-                if node.kind == _MEDIUM:
-                    success *= rho
-                    failure *= rho
-                    if node.drop is not None:
-                        success += d * node.drop.value[0]
-                        failure += d * node.drop.value[1]
-                node.value = (success, failure)
+                node.value = (0 if node.deliver is None else rho * node.deliver.value) + \
+                    (0 if node.drop is None else d * node.drop.value)
             stack.pop()
-        success, failure = graph.root.value
-        return ExplorationResult(Fraction(success), len(graph.nodes), graph.branching,
-                                 Fraction(abs(success + failure - 1)))
+        return ExplorationResult(Fraction(graph.root.value), len(graph.nodes), graph.branching)
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +583,10 @@ def run_monte_carlo(
     share one stream, seeded from the seed's decimal text (so seeds 5 and -5
     differ), and run k takes its draws after runs 0..k-1.  The output is
     deterministic for a given seed and sigma, and prefix-stable: the first n
-    runs and their traces are the same for any runs >= n.  Ties between
-    enabled non-medium rules are resolved in a fixed order (synthesized CSAs
-    never have any).  DivergenceDetected is raised before the first run when a
-    run can reach, at positive probability, a loop it can never leave.
+    runs and their traces are the same for any runs >= n.  Choices that are
+    no medium decision are resolved in the fixed order explore_sync uses.
+    DivergenceDetected is raised before the first run when a run can reach,
+    at positive probability, a loop it can never leave.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
@@ -613,9 +612,8 @@ class _Tables:
 
     Index i names the i-th medium node reached from the root.  deliver[i] and
     drop[i] give the index of the medium node a run reaches next after that
-    outcome, following free nodes along their first successor, or
-    _END_SUCCESS / _END_FAILURE at an end.  An outcome of probability 0 holds
-    _END_FAILURE and is never read.
+    outcome, or _END_SUCCESS / _END_FAILURE at an end.  An outcome of
+    probability 0 holds _END_FAILURE and is never read.
 
     Every index can reach an end through outcomes of positive probability, or
     the build raises DivergenceDetected.  A walk is then absorbed with
@@ -627,15 +625,14 @@ class _Tables:
         self.graph = graph
         self.index: dict = {}  # medium node -> index
         self.nodes: list = []
-        self.root = self._resolve(graph.root)
-        d = graph.drop_prob
+        self.root = self._entry(graph.root)
         self.deliver: list = []
         self.drop: list = []
-        for node in self.nodes:  # _resolve appends the nodes met along the way
-            if node.succ is None:
+        for node in self.nodes:  # _entry appends the nodes met along the way
+            if node.raw is not None:
                 graph.link(node)
-            self.deliver.append(self._resolve(node.succ[0]) if d < 1.0 else _END_FAILURE)
-            self.drop.append(self._resolve(node.drop) if d > 0.0 else _END_FAILURE)
+            self.deliver.append(self._entry(node.deliver))
+            self.drop.append(self._entry(node.drop))
         self._check_ends()
 
     def walk(self, runs: int, draw) -> int:
@@ -659,18 +656,13 @@ class _Tables:
             ends += i
         return 2 * runs + ends
 
-    def _resolve(self, node: _Node) -> int:
-        # The index of node, or of the medium node or end its free nodes lead to.
-        seen = set()
-        while node.kind == _FREE:
-            if node in seen:
-                raise _cycle("repeats with no random medium outcome in between")
-            seen.add(node)
-            if node.succ is None:
-                self.graph.link(node)
-            node = node.succ[0]
-        if node.kind != _MEDIUM:
-            return _END_SUCCESS if node.kind == _SUCCESS else _END_FAILURE
+    def _entry(self, node: Optional[_Node]) -> int:
+        # The index of a medium node, or the code of an end; None, an outcome
+        # of probability 0, ends in failure.
+        if node is None or node is _FAILURE_NODE:
+            return _END_FAILURE
+        if node is _SUCCESS_NODE:
+            return _END_SUCCESS
         i = self.index.get(node)
         if i is None:
             i = self.index[node] = len(self.nodes)
@@ -680,12 +672,12 @@ class _Tables:
     def _check_ends(self) -> None:
         # Raise unless every index reaches an end through outcomes of
         # positive probability: search backward from the entries that end.
-        d = self.graph.drop_prob
-        tables = ([self.deliver] if d < 1.0 else []) + ([self.drop] if d > 0.0 else [])
         into: list = [[] for _ in self.nodes]
         ending = set()
-        for table in tables:
-            for i, t in enumerate(table):
+        for i, node in enumerate(self.nodes):
+            for child, t in ((node.deliver, self.deliver[i]), (node.drop, self.drop[i])):
+                if child is None:
+                    continue
                 if t < 0:
                     ending.add(i)
                 else:
@@ -698,7 +690,7 @@ class _Tables:
                     stack.append(i)
         if len(ending) == len(self.nodes):
             return
-        if 0.0 < d < 1.0:
+        if 0.0 < self.graph.drop_prob < 1.0:
             raise _cycle("repeats, and no random medium outcome leaves its loop")
         raise _cycle("repeats with no random medium outcome in between")
 

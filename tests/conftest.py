@@ -217,6 +217,64 @@ def handoff_sync_csas() -> list:
     return [caller, answerer]
 
 
+def two_choice_csas() -> list:
+    """Hand-written CSAs with a choice that is no medium decision: A takes the
+    e0 call, and at the hand-off B has two guarded system events that both
+    complete it.  Both checks follow the first, so e0 is synchronized with
+    probability 1."""
+    caller = Csa(
+        owner="A",
+        states=("s0", "s1"),
+        vars=(),
+        init="s0",
+        finals=frozenset({"s1"}),
+        transitions={("s0", EnvEvent(LocalEvent("e0", "B", None, "env"))): "s1"},
+    )
+    answerer = Csa(
+        owner="B",
+        states=("r0", "r1"),
+        vars=("c", "k"),
+        init="r0",
+        finals=frozenset({"r1"}),
+        transitions={
+            ("r0", SysCond(LocalEvent("e0", "A", None, "sys"), Condition("c", "<=", 0))): "r1",
+            ("r0", SysCond(LocalEvent("e0", "A", None, "sys"), Condition("k", "<=", 0))): "r1",
+        },
+    )
+    return [caller, answerer]
+
+
+def handoff_reception_csas() -> list:
+    """Hand-written CSAs that complete e0 by a reception at a hand-off: B
+    counts the delivered copy of a, then, with no move of its own left,
+    receives that same copy again at the hand-off, with the system event
+    that completes e0."""
+    a = Message("a", "A", "B")
+    sender = Csa(
+        owner="A",
+        states=("s0", "s1", "s2"),
+        vars=("mu",),
+        init="s0",
+        finals=frozenset({"s2"}),
+        transitions={
+            ("s0", EnvEvent(LocalEvent("e0", "B", None, "env"))): "s1",
+            ("s1", BroadcastCond(a, Condition("mu", "<=", 0))): "s2",
+        },
+    )
+    receiver = Csa(
+        owner="B",
+        states=("r0", "r1", "r2"),
+        vars=("k",),
+        init="r0",
+        finals=frozenset({"r2"}),
+        transitions={
+            ("r0", RecvUpd(a, "k")): "r1",
+            ("r1", RecvSys(a, LocalEvent("e0", "A", None, "sys"))): "r2",
+        },
+    )
+    return [sender, receiver]
+
+
 def medium_loop_csas() -> list:
     """Hand-written CSAs that retry through the medium without a bound: A
     rebroadcasts after every lost copy, with a counter no guard reads."""

@@ -16,7 +16,8 @@ from protoforge import (
 )
 from protoforge.cli import build_parser, main
 from protoforge.speclang import MAX_NESTING
-from conftest import EXAMPLE_TEXT, no_exit_loop_csas, timeout_loop_csas, trap_loop_csas
+from conftest import (EXAMPLE_TEXT, no_exit_loop_csas, timeout_loop_csas, trap_loop_csas,
+                      two_choice_csas)
 
 HARD_TEXT = "delta 0.35; cars A B; snd A->B(d) . (ack B->A : 0.9 | nack B->A : 0.9)"
 EXAMPLE_A_JSON = export_json(synthesize_all(parse_spec(EXAMPLE_TEXT)).csas["A"])
@@ -87,6 +88,15 @@ def test_check_infeasible(tmp_path, capsys):
     code, out, _ = run(capsys, ["check", "--spec", str(path)])
     assert code == 1
     assert "realizable: no" in out
+
+
+def test_check_meets_certainty_without_loss_with_zero_bounds(tmp_path, capsys):
+    # At drop probability 0 the supremum 1 is attained, by every bound.
+    path = tmp_path / "lossless.psl"
+    path.write_text("delta 0; cars A B; e0 A->B . e1 B->A : 1\n")
+    code, out, _ = run(capsys, ["check", "--spec", str(path)])
+    assert code == 0
+    assert out.endswith("realizable: yes\n  bound e0: 0\n  bound e1: 0\n  total: 0\n")
 
 
 def test_check_malformed(tmp_path, capsys):
@@ -409,6 +419,21 @@ def test_alternatives_factored_after_their_shared_event_verify(tmp_path, capsys)
     assert code == 0
     assert "a.b: required 0.5, achieved 0.637, margin 0.137 [ok]" in out
     assert "a.c: required 0.6, achieved 0.637, margin 0.037 [ok]" in out
+
+
+def test_verify_resolves_a_choice_as_simulate_does(tmp_path, capsys):
+    # B has two system events that complete e0.  Both checks follow the
+    # first; adding up both would give a "probability" of 2.0.
+    spec = tmp_path / "choice.psl"
+    spec.write_text("delta 0.3; cars A B; e0 A->B : 0.5\n")
+    paths = write_csas(tmp_path, two_choice_csas())
+    code, out, _ = run(capsys, ["verify", *paths, "--spec", str(spec)])
+    assert code == 0
+    assert "e0: required 0.5, achieved 1.0, margin 0.5 [ok]" in out
+    code, out, _ = run(capsys, ["simulate", *paths, "--spec", str(spec),
+                                "--runs", "1000", "--seed", "1"])
+    assert code == 0
+    assert "e0: 1000/1000 rate 1.0 " in out
 
 
 def test_verify_reports_a_cycle(tmp_path, capsys):

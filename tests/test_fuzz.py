@@ -101,6 +101,10 @@ def test_verify_on_arbitrary_csa_files_ends_in_an_exit_code(tmp_path, monkeypatc
         assert code in (0, 1, 2, 3)
         if code == 2:
             assert out == ""
+        if argv == ["verify"] and code in (0, 1):
+            achieved = [float(line.split("achieved ")[1].split(",")[0])
+                        for line in out.splitlines() if "achieved " in line]
+            assert achieved and all(0.0 <= a <= 1.0 for a in achieved)
 
 
 # .psl text: mostly grammatical descriptions of up to six events, some nested

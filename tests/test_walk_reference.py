@@ -8,10 +8,12 @@ the way the global rules read.
 All three must give the same outcome, deduced sequence and final states for
 every run of every seed.
 Building the tables must also explore no more configurations than the exact
-check does.
+check does, and the exact check must give the probability of the runs the
+reference takes, computed over the same engine in fractions.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,8 @@ from protoforge import (
 )
 from protoforge.semantics import _DEAD, _END_FAILURE, _END_SUCCESS, _Graph, _Tables
 from protoforge.speclang import GlobalEvent, events_of
-from conftest import dead_deduction_csas, handoff_sync_csas, medium_loop_csas, random_dialogue
+from conftest import (dead_deduction_csas, handoff_sync_csas, medium_loop_csas, random_dialogue,
+                      two_choice_csas)
 from reference_stepper import UnreducedEngine
 
 # The three `simulate` specifications of the benchmark, with its fixed bounds.
@@ -85,6 +88,33 @@ def reference_runs(csas, drop_prob, sigma, runs, seed):
         finals = {m.owner: m.state_names[cfg[0][x][0]] for x, m in enumerate(engine.machines)}
         out.append((outcome, rho, finals))
     return out
+
+
+def reference_probability(csas, drop_prob, sigma) -> Fraction:
+    """The probability that a run of reference_runs succeeds, exactly: the
+    first successor at every step that is no medium decision, and at a
+    medium decision its first delivery with 1 - drop_prob and its drop with
+    drop_prob, read as the decimal of the float."""
+    engine = UnreducedEngine(csas, sigma)
+    d = Fraction(repr(drop_prob))
+    memo = {}
+
+    def value(cfg):
+        if cfg is _DEAD:
+            return Fraction(0)
+        if cfg not in memo:
+            memo[cfg] = None  # under way: met again, it is a cycle
+            shape = None if engine.is_success(cfg) else engine.expand(cfg)
+            if shape is None:
+                memo[cfg] = Fraction(1)
+            elif shape[0] == "medium":
+                memo[cfg] = (1 - d) * value(shape[1][0][0]) + d * value(shape[2][0])
+            else:
+                memo[cfg] = value(shape[1][0][0]) if shape[1] else Fraction(0)
+        assert memo[cfg] is not None, "cycle"
+        return memo[cfg]
+
+    return value(engine.initial())
 
 
 def assert_agrees(csas, drop_prob, sigma, runs, seed):
@@ -173,12 +203,26 @@ CHAIN8 = ("delta 0.6; cars A B; "
 
 @pytest.mark.parametrize("text, bounds", BENCH_SPECS + (CHAIN8,))
 def test_tables_build_no_more_of_the_graph_than_the_exact_check(text, bounds):
-    # The tables are built whole before the first run; they follow one
-    # successor of each free node, so they never need more configs than
-    # exact exploration, which follows all of them.
+    # The tables are built whole before the first run, over the same graph
+    # as exact exploration, so they never need more configs than it does.
     full, csas = _synthesize(text, bounds)
     for pseq in enumerate_sequences(full.protocol):
         graph = _Graph(csas, pseq.events, full.delta)
         _Tables(graph)
         exact = explore_sync(csas, full.delta, pseq.events)
         assert len(graph.nodes) <= exact.configs_processed
+
+
+HAND_WRITTEN = (
+    (handoff_sync_csas, (GlobalEvent("e0", "A", "B"),)),
+    (dead_deduction_csas, (GlobalEvent("e0", "A", "B"), GlobalEvent("e1", "A", "B"))),
+    (two_choice_csas, (GlobalEvent("e0", "A", "B"),)),
+)
+
+
+@pytest.mark.parametrize("drop_prob", [0.0, 0.35, 0.5, 1.0])
+def test_exact_check_matches_the_reference_probability(drop_prob):
+    cases = [(make(), sigma) for make, sigma in HAND_WRITTEN] + CASES
+    for csas, sigma in cases:
+        assert explore_sync(csas, drop_prob, sigma).probability == \
+            reference_probability(csas, drop_prob, sigma)

@@ -143,6 +143,39 @@ class RecvUpd(TransitionLabel):
     var: CounterVar
 
 
+# The sort text of a label is its dataclass repr, str(label), written out per
+# kind: the generic repr, with its recursion guard, costs several times more.
+
+
+def _event_repr(e) -> str:
+    return (f"LocalEvent(name={e.name!r}, peer={e.peer!r}, data={e.data!r}, kind={e.kind!r}, "
+            f"special={e.special!r})")
+
+
+def _msg_repr(m) -> str:
+    return f"Message(id={m.id!r}, src={m.src!r}, dst={m.dst!r}, data={m.data!r})"
+
+
+def _cond_repr(c) -> str:
+    return f"Condition(var={c.var!r}, op={c.op!r}, bound={c.bound!r})"
+
+
+_SORT_TEXT = {
+    EnvEvent: lambda lb: f"EnvEvent(event={_event_repr(lb.event)})",
+    SysCond: lambda lb: f"SysCond(event={_event_repr(lb.event)}, cond={_cond_repr(lb.cond)})",
+    TimeoutSys: lambda lb: f"TimeoutSys(event={_event_repr(lb.event)})",
+    TimeoutUpd: lambda lb: f"TimeoutUpd(var={lb.var!r})",
+    BroadcastCond: lambda lb: f"BroadcastCond(msg={_msg_repr(lb.msg)}, cond={_cond_repr(lb.cond)})",
+    RecvSys: lambda lb: f"RecvSys(msg={_msg_repr(lb.msg)}, event={_event_repr(lb.event)})",
+    RecvUpd: lambda lb: f"RecvUpd(msg={_msg_repr(lb.msg)}, var={lb.var!r})",
+}
+
+
+def _sort_text(label: TransitionLabel) -> str:
+    """str(label), the text transitions are sorted by."""
+    return _SORT_TEXT.get(type(label), str)(label)
+
+
 @dataclass
 class Csa:
     """A communication service automaton. Treat as immutable after construction:
@@ -159,7 +192,8 @@ class Csa:
     def ordered_transitions(self) -> tuple:
         """The ((src, label), dst) pairs, by source state and label text: the one
         order that files, drawings and the execution engine list them in."""
-        return tuple(sorted(self.transitions.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))))
+        return tuple(sorted(self.transitions.items(),
+                            key=lambda kv: (kv[0][0], _sort_text(kv[0][1]))))
 
 
 @dataclass(frozen=True)

@@ -147,15 +147,16 @@ class RecvItem:
 # done/pending track how much of the target sequence has been synchronized;
 # parts is a bitmask of cars that have taken part.
 #
-# Every rule but the environment-triggered one compiles to a move
-#   (fuse key or None, counter to increment or None, new tail, dst, items)
-# where the fuse key is the target-sequence entry a plain system event
-# completes, a new tail ("b", msg id) is completed with the tail it restores,
-# and items are the trace items the move appends to rho (for a reception,
-# led by its RecvItem).
+# Every rule compiles to a move
+#   (fuse key, counter to increment or None, new tail, dst, items)
+# where the fuse key is _ENV for an environment-triggered event, the
+# target-sequence entry a plain system event completes, or None; a new tail
+# ("b", msg id) is completed with the tail it restores, and items are the
+# trace items the move appends to rho (for a reception, led by its RecvItem).
 
 _TAIL_OTHER = ("o",)
 _DEAD = "dead"
+_ENV = "env"
 
 
 class _Machine:
@@ -171,7 +172,7 @@ class _Machine:
         self.init = self.state_idx[csa.init]
         self.finals = frozenset(self.state_idx[s] for s in csa.finals)
         n = len(csa.states)
-        self.env = [[] for _ in range(n)]       # ((name, owner, peer, data), dst, items)
+        self.env = [[] for _ in range(n)]       # ((name, owner, peer, data), move)
         self.econd = [[] for _ in range(n)]     # (guarded counter, op, bound, move)
         self.timeouts = [[] for _ in range(n)]  # move
         self.recv = [{} for _ in range(n)]      # msg id -> [move]
@@ -187,8 +188,9 @@ class _Machine:
             pred[d].add(s)
             if isinstance(label, EnvEvent):
                 e = label.event
-                self.env[s].append(((e.name, owner, e.peer, e.data), d,
-                                    (EnvItem(owner, e.name, e.peer, e.data),)))
+                self.env[s].append(((e.name, owner, e.peer, e.data),
+                                    (_ENV, None, _TAIL_OTHER, d,
+                                     (EnvItem(owner, e.name, e.peer, e.data),))))
             elif isinstance(label, SysCond):
                 c = label.cond
                 self.econd[s].append((var_idx[c.var], c.op, c.bound, sys_move(label.event, d)))
@@ -269,91 +271,83 @@ class _Engine:
         locals_ = tuple((m.init, (0,) * len(m.vars)) for m in self.machines)
         return (locals_, self.car_idx[priority], _TAIL_OTHER, 0, 0, 0)
 
-    # -- local step enumeration on engine configs ---------------------------
-
-    def _e_steps(self, cfg, x):
-        # Immediate steps of x: environment-triggered events the target
-        # sequence asks for next, then enabled conditional system events and
-        # broadcasts.
+    def step(self, cfg):
+        """The engine's first successor of cfg: (config, trace items, dropped,
+        more).  dropped is the config a drop leaves at a medium decision, where
+        config is the first delivery, and None elsewhere; more tells whether
+        any other successor exists.  config is None when cfg is stuck.  The
+        order: the destination's receptions at a broadcast tail; else the
+        priority holder's immediate moves, or else its timeouts; else a
+        hand-off."""
         locals_, pr, tail, done, pending, parts = cfg
-        state, vals = locals_[x]
-        m = self.machines[x]
-        out = []
-        want = self.wanted[done + pending]
-        for key, dst, items in m.env[state]:
-            if key == want:  # while one is pending, a second call kills the deduction
-                nl = self._set_local(locals_, x, dst, vals)
-                nxt = _DEAD if pending else (nl, x, _TAIL_OTHER, done, 1, parts | (1 << x))
-                out.append((nxt, items))
-        for vi, op, bound, move in m.econd[state]:
-            if vals[vi] <= bound if op == "<=" else vals[vi] > bound:
-                out.append(self._move(cfg, x, move))
-        return out
-
-    def _t_steps(self, cfg, x):
-        state = cfg[0][x][0]
-        return [self._move(cfg, x, move) for move in self.machines[x].timeouts[state]]
-
-    def _r_steps(self, cfg, x, msg):
-        # Deliveries to x of the message with id msg.
-        state = cfg[0][x][0]
-        return [self._move(cfg, x, move) for move in self.machines[x].recv[state].get(msg, ())]
-
-    def _move(self, cfg, x, move):
-        locals_, pr, tail, done, pending, parts = cfg
+        dropped, more = None, False
+        if tail[0] == "b":
+            msg = tail[1]
+            x = self.msg_dst[msg]
+            moves = None if x is None else self.machines[x].recv[locals_[x][0]].get(msg)
+            dropped = (locals_, pr if x is None else x, tail[2], done, pending, parts)
+            if not moves:  # no receiver is ready: the broadcast is discarded
+                return dropped, (), None, False
+            move, more = moves[0], len(moves) > 1
+        else:
+            # Immediate moves: the environment-triggered events the target
+            # sequence asks for next, then enabled conditional moves.
+            x, want, move = pr, self.wanted[done + pending], None
+            m = self.machines[pr]
+            state, vals = locals_[pr]
+            for key, mv in m.env[state]:
+                if key == want:
+                    more, move = move is not None, move or mv
+            for vi, op, bound, mv in m.econd[state]:
+                if vals[vi] <= bound if op == "<=" else vals[vi] > bound:
+                    more, move = move is not None, move or mv
+            if move is None:
+                moves = m.timeouts[state]
+                if moves:
+                    move, more = moves[0], len(moves) > 1
+                else:
+                    moves = self._hand_off(locals_, tail, want)
+                    x, move = next(moves, (None, None))
+                    if move is None:
+                        return None, (), None, False
+                    more = next(moves, None) is not None
         fuse, inc, new_tail, dst, items = move
-        vals = locals_[x][1]
-        # A plain system event matching the pending environment event fuses
-        # into the next global event of the target sequence.  Other moves
-        # have no fuse key, and wanted[done] is not None while one is pending.
-        if pending and fuse == self.wanted[done]:
+        if fuse is _ENV:
+            if pending:  # a second call while one is pending kills the deduction
+                return _DEAD, items, None, more
+            pending = 1
+        elif pending and fuse == self.wanted[done]:
+            # A plain system event matching the pending environment event
+            # fuses into the next global event of the target sequence.
             done, pending = done + 1, 0
+        vals = locals_[x][1]
         if inc is not None:
             vals = vals[:inc] + (vals[inc] + 1,) + vals[inc + 1:]
-        if new_tail[0] == "b":
-            new_tail = new_tail + (tail,)
-        nl = self._set_local(locals_, x, dst, vals)
-        return (nl, x, new_tail, done, pending, parts | (1 << x)), items
-
-    def _set_local(self, locals_, x, state, vals):
-        # Zero the counters dead at x's new state.
-        keep = self.machines[x].live[state]
+        keep = self.machines[x].live[dst]  # zero the counters dead at the new state
         if keep is not None:
             vals = tuple(map(mul, vals, keep))
-        return locals_[:x] + ((state, vals),) + locals_[x + 1:]
+        if new_tail[0] == "b":
+            new_tail += (tail,)
+        return ((locals_[:x] + ((dst, vals),) + locals_[x + 1:], x, new_tail, done, pending,
+                 parts | (1 << x)), items, dropped, more)
 
-    # -- global step enumeration --------------------------------------------
-
-    def expand(self, cfg):
-        """Successors per the global rules, each a (config, trace items) pair.
-
-        Returns ("medium", delivered, dropped) for a pending broadcast with a
-        ready receiver, or ("free", successors) otherwise; an empty successor
-        list means the configuration is stuck.
-        """
-        locals_, pr, tail, done, pending, parts = cfg
-        if tail[0] == "b":
-            msg, restore = tail[1], tail[2]
-            z = self.msg_dst[msg]
-            received = [] if z is None else self._r_steps(cfg, z, msg)
-            if received:
-                dropped = ((locals_, z, restore, done, pending, parts), ())
-                return ("medium", received, dropped)
-            nacc_pr = z if z is not None else pr
-            return ("free", [((locals_, nacc_pr, restore, done, pending, parts), ())])
-
-        succs = self._e_steps(cfg, pr) or self._t_steps(cfg, pr)
-        if succs:
-            return ("free", succs)
-        # Hand-off: any CSA may act, by any rule; the actor takes the priority.
-        # A reception of the message at the tail appends no RecvItem.
-        out = []
-        for x in range(len(self.machines)):
-            out.extend(self._e_steps(cfg, x))
-            out.extend(self._t_steps(cfg, x))
-            if tail[0] == "r":
-                out.extend((nxt, items[1:]) for nxt, items in self._r_steps(cfg, x, tail[1]))
-        return ("free", out)
+    def _hand_off(self, locals_, tail, want):
+        # Any car may act, by any rule, and takes the priority: (car, move)
+        # in car order.  A reception of the message at the tail appends no
+        # RecvItem.
+        msg = tail[1] if tail[0] == "r" else None
+        for x, m in enumerate(self.machines):
+            state, vals = locals_[x]
+            for key, move in m.env[state]:
+                if key == want:
+                    yield x, move
+            for vi, op, bound, move in m.econd[state]:
+                if vals[vi] <= bound if op == "<=" else vals[vi] > bound:
+                    yield x, move
+            for move in m.timeouts[state]:
+                yield x, move
+            for fuse, inc, new_tail, dst, items in m.recv[state].get(msg, ()):
+                yield x, (fuse, inc, new_tail, dst, items[1:])
 
     def is_success(self, cfg) -> bool:
         locals_, pr, tail, done, pending, parts = cfg
@@ -414,37 +408,43 @@ class _Graph:
         self.root = self.node(self.engine.initial())
 
     def node(self, cfg) -> _Node:
-        nodes, engine, trail = self.nodes, self.engine, {}
-        room, n_sigma = self.budget - len(nodes), len(engine.sigma)
-        while True:
-            if cfg is _DEAD:
-                found = _FAILURE_NODE
+        # Walk first successors from cfg to the next medium decision or end.
+        # Each new config is hashed once, into nodes with this walk's mark: a
+        # config met again with the mark is a cycle, one with another node
+        # joins an earlier walk.  The mark becomes the medium node the walk
+        # ends at; a walk that ends elsewhere maps its configs to that end.
+        nodes, step, is_success = self.nodes, self.engine.step, self.engine.is_success
+        mark, trail = _Node(), []
+        size, n_sigma = len(nodes), len(self.engine.sigma)
+        while cfg is not _DEAD:
+            found = nodes.setdefault(cfg, mark)
+            if found is not mark:
                 break
-            found = nodes.get(cfg)
-            if found is not None:
-                break
-            if cfg in trail:
+            if len(nodes) == size:
                 raise _cycle("repeats with no medium decision in between")
-            trail[cfg] = None
-            if len(trail) > room:
+            size += 1
+            if size > self.budget:
                 raise DivergenceDetected(
                     f"exploration exceeded {self.budget} configurations; "
                     "set PROTOFORGE_BUDGET to raise the limit"
                 )
-            if cfg[3] == n_sigma and engine.is_success(cfg):
+            trail.append(cfg)
+            if cfg[3] == n_sigma and is_success(cfg):
                 found = _SUCCESS_NODE
                 break
-            shape = engine.expand(cfg)
-            succs = shape[1]
-            if not succs:
+            cfg, _, dropped, more = step(cfg)
+            if more:
+                self.branching = True
+            if dropped is not None:
+                mark.raw = (cfg, dropped)
+                return mark
+            if cfg is None:  # stuck
                 found = _FAILURE_NODE
                 break
-            self.branching |= len(succs) > 1
-            if shape[0] == "medium":
-                found = _Node((succs[0][0], shape[2][0]))
-                break
-            cfg = succs[0][0]
-        nodes.update(dict.fromkeys(trail, found))
+        else:  # dead
+            found = _FAILURE_NODE
+        for c in trail:
+            nodes[c] = found
         return found
 
     def link(self, node):
@@ -702,13 +702,11 @@ def _trace(graph: _Graph, run: int, draw) -> dict:
     the run takes the first successor, up to the end."""
     engine, rho, cfg, d = graph.engine, [], graph.engine.initial(), graph.drop_prob
     while not engine.is_success(cfg):
-        shape = engine.expand(cfg)
-        if shape[0] == "medium":
-            nxt, items = shape[2] if draw() < d else shape[1][0]
-        elif shape[1]:
-            nxt, items = shape[1][0]
-        else:
+        nxt, items, dropped, _ = engine.step(cfg)
+        if nxt is None:
             break  # stuck
+        if dropped is not None and draw() < d:
+            nxt, items = dropped, ()
         if cfg[2][0] == "b":  # a step from a broadcast tail delivers, drops or discards it
             rho.pop()
         rho.extend(items)

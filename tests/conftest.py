@@ -244,6 +244,66 @@ def two_choice_csas() -> list:
     return [caller, answerer]
 
 
+def handoff_guard_csas() -> list:
+    """Hand-written CSAs with moves a hand-off must not take: A takes the e0
+    call, and at the hand-off B offers an e1 call the sequence never makes
+    and a fail event whose guard c>0 is false at c = 0, each sorted before
+    the guarded system event that completes e0."""
+    caller = Csa(
+        owner="A",
+        states=("s0", "s1"),
+        vars=(),
+        init="s0",
+        finals=frozenset({"s1"}),
+        transitions={("s0", EnvEvent(LocalEvent("e0", "B", None, "env"))): "s1"},
+    )
+    answerer = Csa(
+        owner="B",
+        states=("r0", "r1", "r2"),
+        vars=("c",),
+        init="r0",
+        finals=frozenset({"r1"}),
+        transitions={
+            ("r0", EnvEvent(LocalEvent("e1", "A", None, "env"))): "r2",
+            ("r0", SysCond(LocalEvent("e0", "A", None, "sys", "fail"),
+                           Condition("c", ">", 0))): "r2",
+            ("r0", SysCond(LocalEvent("e0", "A", None, "sys"), Condition("c", "<=", 0))): "r1",
+        },
+    )
+    return [caller, answerer]
+
+
+def choice_everywhere_csas() -> list:
+    """Hand-written CSAs with a choice at each kind of step: A has two
+    timeouts after the e0 call, and B two receptions of the one copy of a."""
+    a = Message("a", "A", "B")
+    sender = Csa(
+        owner="A",
+        states=("s0", "s1", "s2", "s3"),
+        vars=("mu", "nu"),
+        init="s0",
+        finals=frozenset({"s3"}),
+        transitions={
+            ("s0", EnvEvent(LocalEvent("e0", "B", None, "env"))): "s1",
+            ("s1", TimeoutUpd("mu")): "s2",
+            ("s1", TimeoutUpd("nu")): "s2",
+            ("s2", BroadcastCond(a, Condition("mu", "<=", 1))): "s3",
+        },
+    )
+    receiver = Csa(
+        owner="B",
+        states=("r0", "r1"),
+        vars=("k",),
+        init="r0",
+        finals=frozenset({"r1"}),
+        transitions={
+            ("r0", RecvSys(a, LocalEvent("e0", "A", None, "sys"))): "r1",
+            ("r0", RecvUpd(a, "k")): "r0",
+        },
+    )
+    return [sender, receiver]
+
+
 def handoff_reception_csas() -> list:
     """Hand-written CSAs that complete e0 by a reception at a hand-off: B
     counts the delivered copy of a, then, with no move of its own left,

@@ -1,5 +1,10 @@
 """A reference stepper over the execution engine, for tests.
 
+`ReferenceEngine.expand` lists every successor of an engine config, rule by
+rule as the global rules read, over the same compiled CSAs as the engine; the
+engine's own `step` takes only the first of them, and tests check that it
+does.
+
 A global configuration here holds rho itself, states by name, counters and a
 float probability.  `global_steps` rebuilds the engine config from it and
 steps an engine that keeps every counter, so tests read the counters the rules
@@ -8,14 +13,100 @@ outcome.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from protoforge import Csa, GlobalEvent
-from protoforge.semantics import (_DEAD, _TAIL_OTHER, BroadcastItem, EnvItem, RecvItem, SysItem,
-                                  _Compiled, _Engine)
+from protoforge.semantics import (_DEAD, _ENV, _TAIL_OTHER, BroadcastItem, EnvItem, RecvItem,
+                                  SysItem, _Compiled, _Engine)
 
 
-class UnreducedEngine(_Engine):
-    """The engine without the zeroing of dead counters."""
+class ReferenceEngine(_Engine):
+    """The engine with every successor listed, in the engine's order."""
+
+    def _e_steps(self, cfg, x):
+        # Immediate steps of x: environment-triggered events the target
+        # sequence asks for next, then enabled conditional system events and
+        # broadcasts.
+        locals_, pr, tail, done, pending, parts = cfg
+        state, vals = locals_[x]
+        m = self.machines[x]
+        out = []
+        want = self.wanted[done + pending]
+        for key, (_, _, _, dst, items) in m.env[state]:
+            if key == want:  # while one is pending, a second call kills the deduction
+                nl = self._set_local(locals_, x, dst, vals)
+                nxt = _DEAD if pending else (nl, x, _TAIL_OTHER, done, 1, parts | (1 << x))
+                out.append((nxt, items))
+        for vi, op, bound, move in m.econd[state]:
+            if vals[vi] <= bound if op == "<=" else vals[vi] > bound:
+                out.append(self._move(cfg, x, move))
+        return out
+
+    def _t_steps(self, cfg, x):
+        state = cfg[0][x][0]
+        return [self._move(cfg, x, move) for move in self.machines[x].timeouts[state]]
+
+    def _r_steps(self, cfg, x, msg):
+        # Deliveries to x of the message with id msg.
+        state = cfg[0][x][0]
+        return [self._move(cfg, x, move) for move in self.machines[x].recv[state].get(msg, ())]
+
+    def _move(self, cfg, x, move):
+        locals_, pr, tail, done, pending, parts = cfg
+        fuse, inc, new_tail, dst, items = move
+        vals = locals_[x][1]
+        # A plain system event matching the pending environment event fuses
+        # into the next global event of the target sequence.
+        if pending and fuse == self.wanted[done]:
+            done, pending = done + 1, 0
+        if inc is not None:
+            vals = vals[:inc] + (vals[inc] + 1,) + vals[inc + 1:]
+        if new_tail[0] == "b":
+            new_tail = new_tail + (tail,)
+        nl = self._set_local(locals_, x, dst, vals)
+        return (nl, x, new_tail, done, pending, parts | (1 << x)), items
+
+    def _set_local(self, locals_, x, state, vals):
+        # Zero the counters dead at x's new state.
+        keep = self.machines[x].live[state]
+        if keep is not None:
+            vals = tuple(map(mul, vals, keep))
+        return locals_[:x] + ((state, vals),) + locals_[x + 1:]
+
+    def expand(self, cfg):
+        """Successors per the global rules, each a (config, trace items) pair.
+
+        Returns ("medium", delivered, dropped) for a pending broadcast with a
+        ready receiver, or ("free", successors) otherwise; an empty successor
+        list means the configuration is stuck.
+        """
+        locals_, pr, tail, done, pending, parts = cfg
+        if tail[0] == "b":
+            msg, restore = tail[1], tail[2]
+            z = self.msg_dst[msg]
+            received = [] if z is None else self._r_steps(cfg, z, msg)
+            if received:
+                dropped = ((locals_, z, restore, done, pending, parts), ())
+                return ("medium", received, dropped)
+            nacc_pr = z if z is not None else pr
+            return ("free", [((locals_, nacc_pr, restore, done, pending, parts), ())])
+
+        succs = self._e_steps(cfg, pr) or self._t_steps(cfg, pr)
+        if succs:
+            return ("free", succs)
+        # Hand-off: any CSA may act, by any rule; the actor takes the priority.
+        # A reception of the message at the tail appends no RecvItem.
+        out = []
+        for x in range(len(self.machines)):
+            out.extend(self._e_steps(cfg, x))
+            out.extend(self._t_steps(cfg, x))
+            if tail[0] == "r":
+                out.extend((nxt, items[1:]) for nxt, items in self._r_steps(cfg, x, tail[1]))
+        return ("free", out)
+
+
+class UnreducedEngine(ReferenceEngine):
+    """The reference engine without the zeroing of dead counters."""
 
     def _set_local(self, locals_, x, state, vals):
         return locals_[:x] + ((state, vals),) + locals_[x + 1:]

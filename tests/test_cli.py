@@ -963,6 +963,13 @@ def test_help_and_usage_errors_repeat_byte_for_byte(capsys, monkeypatch, argv):
     assert at("50", fresh=False) == narrow
 
 
+def test_help_describes_the_program_by_its_docstring(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert "\n\nCommand-line front end.\n\n" in capsys.readouterr().out
+
+
 def test_python_dash_m_runs_the_cli(spec_file, capsys):
     src_root = os.path.dirname(os.path.dirname(protoforge.__file__))
     proc = subprocess.run(

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,7 @@ from protoforge import (
     synthesize_for_car,
     validate,
 )
-from protoforge.csa import _PARTS, json_text
+from protoforge.csa import _PARTS, _sort_text, json_text
 from protoforge.speclang import events_of
 from conftest import reference_receiver, reference_sender, random_dialogue
 
@@ -343,7 +344,7 @@ local_events = (
                 st.sampled_from(["fail", "success"])))
 messages = st.builds(Message, names, names, names, optional_names)
 conditions = st.builds(Condition, names, st.sampled_from(["<=", ">"]), st.integers(0, 2**70))
-labels = st.one_of(
+label_kinds = (
     st.builds(EnvEvent, local_events),
     st.builds(SysCond, local_events, conditions),
     st.builds(TimeoutSys, local_events),
@@ -352,6 +353,7 @@ labels = st.one_of(
     st.builds(RecvSys, messages, local_events),
     st.builds(RecvUpd, messages, names),
 )
+labels = st.one_of(*label_kinds)
 csas = st.builds(
     Csa, names, st.lists(names, max_size=5).map(tuple), st.lists(names, max_size=3).map(tuple),
     names, st.frozensets(names, max_size=3),
@@ -363,6 +365,27 @@ csas = st.builds(
 @example(Csa("", (), (), "", frozenset(), {}))
 def test_export_json_writes_what_the_stdlib_writes(csa):
     assert export_json(csa) == reference_json(csa)
+
+
+@pytest.mark.parametrize("kind", range(len(label_kinds)))
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_sort_text_orders_labels_as_their_repr_does(kind, data):
+    # Transitions are sorted by the sort text, written out per kind; files and
+    # the engine's move order depend on that order being str(label)'s.
+    batch = (data.draw(st.lists(label_kinds[kind], min_size=1, max_size=4))
+             + data.draw(st.lists(labels, max_size=4)))
+    assert [_sort_text(label) for label in batch] == [str(label) for label in batch]
+    assert sorted(batch, key=_sort_text) == sorted(batch, key=str)
+
+
+def test_sort_text_of_a_label_subclass_is_its_repr():
+    @dataclass(frozen=True)
+    class Tagged(TimeoutUpd):
+        tag: int = 0
+
+    label = Tagged("nu", 3)
+    assert _sort_text(label) == str(label) == repr(label)
 
 
 flat_docs = st.dictionaries(names, st.booleans() | st.integers() | names, max_size=6)

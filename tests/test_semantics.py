@@ -336,6 +336,15 @@ def test_budget_env_override(monkeypatch, reference_csas, snd_ack):
         explore_sync(reference_csas, 0.35, snd_ack)
 
 
+def test_budget_admits_exactly_that_many_configs(monkeypatch, reference_csas, snd_ack):
+    n = explore_sync(reference_csas, 0.35, snd_ack).configs_processed
+    monkeypatch.setenv("PROTOFORGE_BUDGET", str(n))
+    assert explore_sync(reference_csas, 0.35, snd_ack).configs_processed == n
+    monkeypatch.setenv("PROTOFORGE_BUDGET", str(n - 1))
+    with pytest.raises(DivergenceDetected, match=f"exceeded {n - 1} configurations"):
+        explore_sync(reference_csas, 0.35, snd_ack)
+
+
 def test_explore_work_stays_small_on_a_six_event_chain():
     # Counts distinct configs rather than time, so it holds on any machine.
     # Without zeroing the counters no guard reads again there are 893,619.
@@ -364,6 +373,29 @@ def test_timeout_self_loop_is_reported_as_a_cycle(monkeypatch):
     with pytest.raises(DivergenceDetected, match="cycle"):
         explore_sync(csas, 0.35, E0)
     with pytest.raises(DivergenceDetected, match="cycle"):
+        run_monte_carlo(csas, 0.35, E0, runs=3, seed=1)
+
+
+def test_a_cycle_is_reported_within_a_bounded_number_of_steps(monkeypatch):
+    # The walk meets its own first config again after a few steps; a cycle
+    # check that missed it would step on for ever, as the budget counts only
+    # distinct configs.
+    from protoforge import semantics
+
+    step, calls = semantics._Engine.step, []
+
+    def counted(engine, cfg):
+        calls.append(None)
+        if len(calls) > 1_000:
+            raise AssertionError("step called more than 1,000 times")
+        return step(engine, cfg)
+
+    monkeypatch.setattr(semantics._Engine, "step", counted)
+    csas = timeout_loop_csas()
+    with pytest.raises(DivergenceDetected, match="repeats with no medium decision in between"):
+        explore_sync(csas, 0.35, E0)
+    calls.clear()
+    with pytest.raises(DivergenceDetected, match="repeats with no medium decision in between"):
         run_monte_carlo(csas, 0.35, E0, runs=3, seed=1)
 
 
@@ -425,6 +457,18 @@ def test_medium_loop_without_exit_is_reported_as_a_cycle(drop_prob):
     for traced in (False, True):
         with pytest.raises(DivergenceDetected, match="cycle"):
             run_monte_carlo(csas, drop_prob, sigma, runs=1, seed=0, collect_traces=traced)
+
+
+@pytest.mark.parametrize("drop_prob, why", [
+    (0.0, "repeats with no random medium outcome in between"),
+    (1.0, "repeats with no random medium outcome in between"),
+    (0.5, "repeats, and no random medium outcome leaves its loop"),
+])
+def test_a_loop_without_exit_is_named_by_its_outcomes(drop_prob, why):
+    # At drop probability 0 or 1 every medium outcome is certain.
+    sigma = E0 + (GlobalEvent("e1", "B", "A"),)
+    with pytest.raises(DivergenceDetected, match=why):
+        run_monte_carlo(no_exit_loop_csas(), drop_prob, sigma, runs=1, seed=0)
 
 
 @pytest.mark.parametrize("drop_prob", [0.01, 0.5])

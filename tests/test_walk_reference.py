@@ -1,4 +1,8 @@
-"""Monte Carlo against a plain reference walk.
+"""The engine's step and Monte Carlo against plain references.
+
+`_Engine.step` gives the first successor of a configuration; the reference
+stepper lists them all, and the two must agree on every configuration the
+reference reaches.
 
 `run_monte_carlo` walks next-medium-node tables for untraced runs and steps
 its engine for traced ones.  The reference here steps the execution engine,
@@ -13,6 +17,7 @@ reference takes, computed over the same engine in fractions.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,9 +33,10 @@ from protoforge import (
 )
 from protoforge.semantics import _DEAD, _END_FAILURE, _END_SUCCESS, _Graph, _Tables
 from protoforge.speclang import GlobalEvent, events_of
-from conftest import (dead_deduction_csas, handoff_sync_csas, medium_loop_csas, random_dialogue,
-                      two_choice_csas)
-from reference_stepper import UnreducedEngine
+from conftest import (choice_everywhere_csas, dead_deduction_csas, handoff_guard_csas,
+                      handoff_reception_csas, handoff_sync_csas, medium_loop_csas,
+                      random_dialogue, two_choice_csas)
+from reference_stepper import ReferenceEngine, UnreducedEngine
 
 # The three `simulate` specifications of the benchmark, with its fixed bounds.
 BENCH_SPECS = (
@@ -217,6 +223,8 @@ HAND_WRITTEN = (
     (handoff_sync_csas, (GlobalEvent("e0", "A", "B"),)),
     (dead_deduction_csas, (GlobalEvent("e0", "A", "B"), GlobalEvent("e1", "A", "B"))),
     (two_choice_csas, (GlobalEvent("e0", "A", "B"),)),
+    (handoff_guard_csas, (GlobalEvent("e0", "A", "B"),)),
+    (choice_everywhere_csas, (GlobalEvent("e0", "A", "B"),)),
 )
 
 
@@ -226,3 +234,44 @@ def test_exact_check_matches_the_reference_probability(drop_prob):
     for csas, sigma in cases:
         assert explore_sync(csas, drop_prob, sigma).probability == \
             reference_probability(csas, drop_prob, sigma)
+
+
+E0 = (GlobalEvent("e0", "A", "B"),)
+STEP_CASES = [(make(), sigma) for make, sigma in HAND_WRITTEN + (
+    (handoff_reception_csas, E0), (medium_loop_csas, E0))] + CASES
+
+
+def reference_first(engine, cfg):
+    """(config, items, dropped, more) from the reference's full successor list."""
+    shape = engine.expand(cfg)
+    if shape[0] == "medium":
+        (nxt, items), dropped = shape[1][0], shape[2][0]
+        return nxt, items, dropped, len(shape[1]) > 1
+    if not shape[1]:
+        return None, (), None, False
+    nxt, items = shape[1][0]
+    return nxt, items, None, len(shape[1]) > 1
+
+
+def test_step_is_the_first_of_the_reference_successors():
+    # Every config the reference reaches through any successor, first or not.
+    met = Counter()
+    for csas, sigma in STEP_CASES:
+        engine = ReferenceEngine(csas, sigma)
+        seen, todo = set(), [engine.initial()]
+        while todo:
+            cfg = todo.pop()
+            if cfg is _DEAD or cfg in seen:
+                continue
+            seen.add(cfg)
+            first = reference_first(engine, cfg)
+            assert engine.step(cfg) == first, cfg
+            shape = engine.expand(cfg)
+            succs = shape[1] + [shape[2]] if shape[0] == "medium" else shape[1]
+            todo.extend(nxt for nxt, _ in succs)
+            met.update({"config": 1, "medium": first[2] is not None, "stuck": first[0] is None,
+                        "dead": first[0] is _DEAD, "more": first[3],
+                        "hand-off": cfg[2][0] != "b" and first[0] is not None
+                        and first[0][1] != cfg[1]})
+    assert met["config"] > 700 and all(met[k] > 0 for k in
+                                      ("medium", "stuck", "dead", "more", "hand-off")), met

@@ -285,10 +285,10 @@ class _Engine:
             msg = tail[1]
             x = self.msg_dst[msg]
             moves = None if x is None else self.machines[x].recv[locals_[x][0]].get(msg)
-            dropped = (locals_, pr if x is None else x, tail[2], done, pending, parts)
+            lost = (locals_, pr if x is None else x, tail[2], done, pending, parts)
             if not moves:  # no receiver is ready: the broadcast is discarded
-                return dropped, (), None, False
-            move, more = moves[0], len(moves) > 1
+                return lost, (), None, False
+            move, more, dropped = moves[0], len(moves) > 1, lost
         else:
             # Immediate moves: the environment-triggered events the target
             # sequence asks for next, then enabled conditional moves.

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from operator import mul
 
 from protoforge import Csa, GlobalEvent
-from protoforge.semantics import (_DEAD, _ENV, _TAIL_OTHER, BroadcastItem, EnvItem, RecvItem,
-                                  SysItem, _Compiled, _Engine)
+from protoforge.semantics import (_DEAD, _TAIL_OTHER, BroadcastItem, EnvItem, RecvItem, SysItem,
+                                  _Compiled, _Engine)
 
 
 class ReferenceEngine(_Engine):

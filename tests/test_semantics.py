@@ -380,8 +380,6 @@ def test_a_cycle_is_reported_within_a_bounded_number_of_steps(monkeypatch):
     # The walk meets its own first config again after a few steps; a cycle
     # check that missed it would step on for ever, as the budget counts only
     # distinct configs.
-    from protoforge import semantics
-
     step, calls = semantics._Engine.step, []
 
     def counted(engine, cfg):

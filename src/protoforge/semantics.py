@@ -275,10 +275,10 @@ class _Engine:
         """The engine's first successor of cfg: (config, trace items, dropped,
         more).  dropped is the config a drop leaves at a medium decision, where
         config is the first delivery, and None elsewhere; more tells whether
-        any other successor exists.  config is None when cfg is stuck.  The
-        order: the destination's receptions at a broadcast tail; else the
-        priority holder's immediate moves, or else its timeouts; else a
-        hand-off."""
+        any other successor exists.  config is None when cfg is stuck and
+        _DEAD when the deduction dies.  The order: the destination's
+        receptions at a broadcast tail; else the priority holder's immediate
+        moves, or else its timeouts; else a hand-off."""
         locals_, pr, tail, done, pending, parts = cfg
         dropped, more = None, False
         if tail[0] == "b":

@@ -15,6 +15,7 @@ import functools
 import json
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
@@ -202,6 +203,9 @@ class ValidationReport:
     problems: tuple[str, ...] = field(default_factory=tuple)
 
 
+_VALID = ValidationReport(ok=True)
+
+
 def label_counter(label: TransitionLabel) -> Optional[CounterVar]:
     """The counter that label's guard reads or that it increments, or None."""
     cond = getattr(label, "cond", None)
@@ -223,9 +227,8 @@ def validate(csa: Csa) -> ValidationReport:
     declared = set(csa.vars)
     if csa.init not in states:
         problems.append(f"initial state {csa.init!r} is not declared")
-    for f in sorted(csa.finals):
-        if f not in states:
-            problems.append(f"final state {f!r} is not declared")
+    if not csa.finals <= states:
+        problems += [f"final state {f!r} is not declared" for f in sorted(csa.finals - states)]
     for (src, label), dst in csa.transitions.items():
         if src not in states:
             problems.append(f"transition source {src!r} is not a declared state")
@@ -239,7 +242,7 @@ def validate(csa: Csa) -> ValidationReport:
             problems.append(
                 f"event {event.name!r} at {src!r} has the owner {csa.owner!r} as its peer"
             )
-    return ValidationReport(ok=not problems, problems=tuple(problems))
+    return ValidationReport(ok=False, problems=tuple(problems)) if problems else _VALID
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +363,24 @@ def _get(obj, key: str, typ: type, optional: bool = False):
     raise ValueError(f"{key!r} must be of type {typ.__name__}, got {json.dumps(value)}")
 
 
+# Reading a file.  A reader whose keys all hold values of the right types,
+# which pass the value checks of the class's constructor, makes its frozen
+# instance without calling __init__ (`_new` and its __dict__).  Otherwise it
+# reads the keys again through _get, in order, and calls the constructor: the
+# first problem in that order raises.
+
+_new = object.__new__
+
+
 def _event_from_json(obj: dict) -> LocalEvent:
+    name, peer, data = obj.get("name"), obj.get("peer"), obj.get("data")
+    kind, special = obj.get("kind"), obj.get("special")
+    if (type(name) is str and type(peer) is str and (data is None or type(data) is str)
+            and (special is None and (kind == "env" or kind == "sys")
+                 or kind == "sys" and (special == "fail" or special == "success"))):
+        event = _new(LocalEvent)
+        event.__dict__.update(name=name, peer=peer, data=data, kind=kind, special=special)
+        return event
     return LocalEvent(_get(obj, "name", str), _get(obj, "peer", str),
                       _get(obj, "data", str, optional=True), _get(obj, "kind", str),
                       _get(obj, "special", str, optional=True))
@@ -374,6 +394,12 @@ def _msg_to_json(msg: Message) -> dict:
 
 
 def _msg_from_json(obj: dict) -> Message:
+    id_, src, dst, data = obj.get("id"), obj.get("src"), obj.get("dst"), obj.get("data")
+    if (type(id_) is str and type(src) is str and type(dst) is str
+            and (data is None or type(data) is str)):
+        msg = _new(Message)
+        msg.__dict__.update(id=id_, src=src, dst=dst, data=data)
+        return msg
     return Message(_get(obj, "id", str), _get(obj, "src", str), _get(obj, "dst", str),
                    _get(obj, "data", str, optional=True))
 
@@ -383,6 +409,11 @@ def _cond_to_json(cond: Condition) -> dict:
 
 
 def _cond_from_json(obj: dict) -> Condition:
+    var, op, bound = obj.get("var"), obj.get("op"), obj.get("bound")
+    if type(var) is str and op in ("<=", ">") and type(bound) is int and bound >= 0:
+        cond = _new(Condition)
+        cond.__dict__.update(var=var, op=op, bound=bound)
+        return cond
     return Condition(_get(obj, "var", str), _get(obj, "op", str), _get(obj, "bound", int))
 
 
@@ -397,14 +428,39 @@ _PARTS = {
 }
 _BY_KIND = {cls.kind: cls for cls in (EnvEvent, SysCond, TimeoutSys, TimeoutUpd, BroadcastCond,
                                       RecvSys, RecvUpd)}
+_FIELDS = {cls: tuple((name, _PARTS[name].typ, _PARTS[name].load) for name in cls.__match_args__)
+           for cls in _BY_KIND.values()}
 
 
-def _label_from_json(obj: dict) -> TransitionLabel:
-    kind = _get(obj, "kind", str)
-    cls = _BY_KIND.get(kind)
+def _label_from_json(obj: dict) -> tuple:
+    # (label, the number of keys of obj and of the objects it holds).
+    kind = obj.get("kind")
+    cls = _BY_KIND.get(kind) if type(kind) is str else None
     if cls is None:
-        raise ValueError(f"unknown transition kind {kind!r}")
-    return cls(*[_PARTS[key].load(_get(obj, key, _PARTS[key].typ)) for key in cls.__match_args__])
+        raise ValueError(f"unknown transition kind {_get(obj, 'kind', str)!r}")
+    keys, fields = len(obj), {}
+    for name, typ, load in _FIELDS[cls]:
+        value = obj.get(name)
+        if type(value) is not typ:
+            value = _get(obj, name, typ)
+        if typ is dict:
+            keys += len(value)
+        fields[name] = load(value)
+    label = _new(cls)
+    label.__dict__.update(fields)
+    return label, keys
+
+
+def _transition_from_json(obj) -> tuple:
+    # (source, label, target, the number of keys of obj and of the objects it holds).
+    if type(obj) is dict:
+        src, label, dst = obj.get("from"), obj.get("label"), obj.get("to")
+        if type(src) is str and type(label) is dict and type(dst) is str:
+            label, keys = _label_from_json(label)
+            return src, label, dst, len(obj) + keys
+    src = _get(obj, "from", str)
+    label, keys = _label_from_json(_get(obj, "label", dict))
+    return src, label, _get(obj, "to", str), len(obj) + keys
 
 
 def _lines(items: list, nl: str, brackets: str) -> str:
@@ -475,37 +531,64 @@ def _object(pairs: list) -> dict:
     return doc
 
 
-def import_json(text: str) -> Csa:
-    """Parse a CSA file written by export_json.
-
-    Raises ValueError when the text is not JSON or repeats a key in an object,
-    when a key is missing or holds a value of the wrong type, when two
-    transitions share a source and a label, or when `validate` reports problems.
-    """
+def _parse(text: str):
+    # The JSON document of text, every object's keys checked: ValueError at the
+    # first repeated key, syntax error or overdeep nesting the parser meets.
     try:
-        doc = json.loads(text, object_pairs_hook=_object)
+        return json.loads(text, object_pairs_hook=_object)
     except RecursionError:
         raise ValueError("CSA file nests too deeply") from None
+
+
+def _in_order(pairs: list) -> bool:
+    # Whether the ((src, label), dst) pairs of a file, whose labels are of the
+    # seven kinds, are in ordered_transitions' order, as export_json writes
+    # them.  The sort text of such a label begins with its class's name and
+    # "(", so two labels of two kinds compare by their class names.
+    for ((a, x), _), ((b, y), _) in zip(pairs, pairs[1:]):
+        if a != b:
+            if a > b:
+                return False
+        elif type(x) is not type(y):
+            if type(x).__name__ > type(y).__name__:
+                return False
+        elif _sort_text(x) > _sort_text(y):
+            return False
+    return True
+
+
+def _decode(doc) -> tuple:
+    # (the Csa of a parsed document, the number of keys of the objects read),
+    # or ValueError at the first problem, in the order the keys are read.
     states = _get(doc, "states", list)
-    finals = frozenset(_get(s, "id", str) for s in states if _get(s, "final", bool))
+    try:
+        ids, flags = [s["id"] for s in states], [s["final"] for s in states]
+    except (KeyError, TypeError):
+        ids = flags = ()
+    if len(ids) == len(states) and {*map(type, ids)} <= {str} and {*map(type, flags)} <= {bool}:
+        finals = frozenset(compress(ids, flags))
+    else:  # one of them raises here or where the ids are read below
+        finals = frozenset(_get(s, "id", str) for s in states if _get(s, "final", bool))
+        ids = None
     variables = _get(doc, "vars", list)
     if any(type(v) is not str for v in variables):
         raise ValueError(f"'vars' must be a list of strings, got {json.dumps(variables)}")
-    transitions = {}
+    transitions, keys = {}, len(doc)
     for i, t in enumerate(_get(doc, "transitions", list)):
         try:
-            key = (_get(t, "from", str), _label_from_json(_get(t, "label", dict)))
-            dst = _get(t, "to", str)
+            src, label, dst, n = _transition_from_json(t)
         except ValueError as exc:
             raise ValueError(f"transition {i}: {exc}") from None
+        keys += n
+        key = (src, label)
         transitions[key] = dst
         if len(transitions) == i:  # key was there already
             first = list(transitions).index(key)  # each entry before i added a key
-            raise ValueError(f"transitions {first} and {i} both leave {key[0]!r} on "
-                             f"{label_text(key[1])!r}")
+            raise ValueError(f"transitions {first} and {i} both leave {src!r} on "
+                             f"{label_text(label)!r}")
     csa = Csa(
         owner=_get(doc, "owner", str),
-        states=tuple(_get(s, "id", str) for s in states),
+        states=tuple(_get(s, "id", str) for s in states) if ids is None else tuple(ids),
         vars=tuple(variables),
         init=_get(doc, "init", str),
         finals=finals,
@@ -514,6 +597,37 @@ def import_json(text: str) -> Csa:
     report = validate(csa)
     if not report.ok:
         raise ValueError(f"invalid CSA for {csa.owner!r}: " + "; ".join(report.problems))
+    pairs = list(transitions.items())
+    if _in_order(pairs):
+        csa.__dict__["ordered_transitions"] = tuple(pairs)  # the cached property's value
+    return csa, keys + sum(map(len, states))
+
+
+def import_json(text: str) -> Csa:
+    """Parse a CSA file written by export_json.
+
+    Raises ValueError when the text is not JSON or repeats a key in an object,
+    when a key is missing or holds a value of the wrong type, when two
+    transitions share a source and a label, or when `validate` reports problems.
+
+    The text is parsed without checking keys and read at once.  Each ':' of
+    a JSON text outside a string ends a key, so when the keys of the objects
+    read are as many as the text's ':', the text holds no other key and no
+    object repeats one.  Otherwise, and when reading fails, the text is
+    parsed again with its keys checked, so that a repeated key is the first
+    problem reported, as it is the first the checked parser meets.
+    """
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError):
+        doc = _parse(text)  # raises the error the checked parse meets first
+    try:
+        csa, keys = _decode(doc)
+    except ValueError:
+        _parse(text)
+        raise
+    if keys != text.count(":" if isinstance(text, str) else b":"):
+        _parse(text)
     return csa
 
 

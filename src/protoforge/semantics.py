@@ -41,6 +41,7 @@ each medium config as the tables do, and builds rho as it goes.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 from dataclasses import dataclass, field
@@ -50,17 +51,7 @@ from itertools import repeat
 from operator import mul
 from typing import Optional, Sequence
 
-from .csa import (
-    BroadcastCond,
-    Csa,
-    EnvEvent,
-    Message,
-    RecvSys,
-    RecvUpd,
-    SysCond,
-    TimeoutSys,
-    TimeoutUpd,
-)
+from .csa import Csa, Message
 from .errors import DivergenceDetected
 from .speclang import GlobalEvent, SpecNode, enumerate_sequences
 
@@ -148,15 +139,41 @@ class RecvItem:
 # parts is a bitmask of cars that have taken part.
 #
 # Every rule compiles to a move
-#   (fuse key, counter to increment or None, new tail, dst, items)
+#   (fuse key, counter to increment or None, new tail, dst, note)
 # where the fuse key is _ENV for an environment-triggered event, the
 # target-sequence entry a plain system event completes, or None; a new tail
-# ("b", msg id) is completed with the tail it restores, and items are the
-# trace items the move appends to rho (for a reception, led by its RecvItem).
+# ("b", msg id) is completed with the tail it restores, and the note
+# (car, label, skip) names the trace items the move appends to rho:
+# _trace_items builds them from the transition's label, less the first skip
+# (a reception at a hand-off appends no RecvItem).  Only traced runs build
+# trace items.
 
 _TAIL_OTHER = ("o",)
 _DEAD = "dead"
 _ENV = "env"
+_NO_RECV: dict = {}  # the receptions of a state without any; never changed
+
+
+def _trace_items(note) -> tuple:
+    """The trace items of a move's note: for a reception, led by its RecvItem."""
+    car, label, skip = note
+    kind = label.kind
+    if kind == "env":
+        e = label.event
+        return (EnvItem(car, e.name, e.peer, e.data),)
+    if kind == "broadcast":
+        return (BroadcastItem(label.msg),)
+    if kind == "timeout-upd":
+        return (TimeoutItem(car, label.var),)
+    if kind == "recv-upd":
+        return (RecvItem(label.msg),)[skip:]
+    e = label.event  # a system event, after a timeout or a reception for those kinds
+    items = (SysItem(car, e.name, e.peer, e.data, e.special),)
+    if kind == "timeout-sys":
+        items = (TimeoutItem(car, e.name),) + items
+    elif kind == "recv-sys":
+        items = (RecvItem(label.msg),) + items
+    return items[skip:]
 
 
 class _Machine:
@@ -166,64 +183,70 @@ class _Machine:
     def __init__(self, csa: Csa, intern):
         owner = self.owner = csa.owner
         self.state_names = list(csa.states)
-        self.state_idx = {s: i for i, s in enumerate(csa.states)}
+        state_idx = self.state_idx = {s: i for i, s in enumerate(csa.states)}
         self.vars = list(csa.vars)
         var_idx = {v: i for i, v in enumerate(csa.vars)}
-        self.init = self.state_idx[csa.init]
-        self.finals = frozenset(self.state_idx[s] for s in csa.finals)
+        self.init = state_idx[csa.init]
+        self.finals = frozenset(state_idx[s] for s in csa.finals)
         n = len(csa.states)
-        self.env = [[] for _ in range(n)]       # ((name, owner, peer, data), move)
-        self.econd = [[] for _ in range(n)]     # (guarded counter, op, bound, move)
-        self.timeouts = [[] for _ in range(n)]  # move
-        self.recv = [{} for _ in range(n)]      # msg id -> [move]
-        pred = [set() for _ in range(n)]
+        # Per state, built by copying, so that states without moves of a kind
+        # share one empty tuple or dict.
+        env = self.env = [()] * n            # ((name, owner, peer, data), move)
+        econd = self.econd = [()] * n        # (guarded counter, op, bound, move)
+        timeouts = self.timeouts = [()] * n  # move
+        recv = self.recv = [_NO_RECV] * n    # msg id -> moves
+        pred = [[] for _ in range(n)]
+        live = [0] * n  # per state, a bit per counter a guard there reads
 
-        def sys_move(e, d, *items):
-            fuse = (e.name, e.peer, owner, e.data) if e.special is None else None
-            items += (SysItem(owner, e.name, e.peer, e.data, e.special),)
-            return (fuse, None, _TAIL_OTHER, d, items)
+        def receive(s, m, move):
+            recv[s] = {**recv[s], m: recv[s].get(m, ()) + (move,)}
 
         for (src, label), dst in csa.ordered_transitions:
-            s, d = self.state_idx[src], self.state_idx[dst]
-            pred[d].add(s)
-            if isinstance(label, EnvEvent):
+            s, d = state_idx[src], state_idx[dst]
+            pred[d].append(s)
+            note, kind = (owner, label, 0), label.kind
+            if kind == "env":
                 e = label.event
-                self.env[s].append(((e.name, owner, e.peer, e.data),
-                                    (_ENV, None, _TAIL_OTHER, d,
-                                     (EnvItem(owner, e.name, e.peer, e.data),))))
-            elif isinstance(label, SysCond):
+                env[s] += (((e.name, owner, e.peer, e.data), (_ENV, None, _TAIL_OTHER, d, note)),)
+            elif kind == "broadcast":
                 c = label.cond
-                self.econd[s].append((var_idx[c.var], c.op, c.bound, sys_move(label.event, d)))
-            elif isinstance(label, BroadcastCond):
-                c = label.cond
-                move = (None, None, ("b", intern(label.msg)), d, (BroadcastItem(label.msg),))
-                self.econd[s].append((var_idx[c.var], c.op, c.bound, move))
-            elif isinstance(label, TimeoutSys):
-                e = label.event
-                self.timeouts[s].append(sys_move(e, d, TimeoutItem(owner, e.name)))
-            elif isinstance(label, TimeoutUpd):
-                self.timeouts[s].append((None, var_idx[label.var], _TAIL_OTHER, d,
-                                         (TimeoutItem(owner, label.var),)))
-            elif isinstance(label, RecvSys):
-                self.recv[s].setdefault(intern(label.msg), []).append(
-                    sys_move(label.event, d, RecvItem(label.msg)))
-            elif isinstance(label, RecvUpd):
+                vi = var_idx[c.var]
+                econd[s] += ((vi, c.op, c.bound, (None, None, ("b", intern(label.msg)), d, note)),)
+                live[s] |= 1 << vi
+            elif kind == "timeout-upd":
+                timeouts[s] += ((None, var_idx[label.var], _TAIL_OTHER, d, note),)
+            elif kind == "recv-upd":
                 m = intern(label.msg)
-                self.recv[s].setdefault(m, []).append(
-                    (None, var_idx[label.var], ("r", m), d, (RecvItem(label.msg),)))
+                receive(s, m, (None, var_idx[label.var], ("r", m), d, note))
+            else:  # a system event: plain ones fuse with the target sequence
+                e = label.event
+                fuse = (e.name, e.peer, owner, e.data) if e.special is None else None
+                move = (fuse, None, _TAIL_OTHER, d, note)
+                if kind == "sys-cond":
+                    c = label.cond
+                    vi = var_idx[c.var]
+                    econd[s] += ((vi, c.op, c.bound, move),)
+                    live[s] |= 1 << vi
+                elif kind == "timeout-sys":
+                    timeouts[s] += (move,)
+                else:
+                    receive(s, intern(label.msg), move)
         # A counter is live at a state if a guard there reads it or it is live
-        # at a successor; increments alone do not make it live.  live[s] holds
-        # one 1/0 factor per counter, or None when every counter is live.
-        live = [{entry[0] for entry in self.econd[s]} for s in range(n)]
-        work = list(range(n))
+        # at a successor; increments alone do not make it live.  self.live[s]
+        # holds one 1/0 factor per counter, or None when every counter is live.
+        work = [s for s in range(n) if live[s]]
         while work:
             d = work.pop()
             for s in pred[d]:
-                if not live[d] <= live[s]:
+                if live[d] & ~live[s]:
                     live[s] |= live[d]
                     work.append(s)
-        self.live = [None if len(live[s]) == len(self.vars) else
-                     tuple(int(vi in live[s]) for vi in range(len(self.vars))) for s in range(n)]
+        nv = len(self.vars)
+        keep = {(1 << nv) - 1: None}
+        for mask in live:
+            if mask not in keep:
+                keep[mask] = tuple((mask >> vi) & 1 for vi in range(nv))
+        self.live = [keep[mask] for mask in live]
 
 
 class _Compiled(tuple):
@@ -247,9 +270,10 @@ class _Compiled(tuple):
         self.machines = [_Machine(c, self.intern) for c in self]
 
     def intern(self, msg: Message) -> int:
-        i = self.msg_ids.get(msg)
+        key = (msg.id, msg.src, msg.dst, msg.data)  # what Message equality compares
+        i = self.msg_ids.get(key)
         if i is None:
-            i = self.msg_ids[msg] = len(self.msg_dst)
+            i = self.msg_ids[key] = len(self.msg_dst)
             self.msg_dst.append(self.car_idx.get(msg.dst))
         return i
 
@@ -272,8 +296,9 @@ class _Engine:
         return (locals_, self.car_idx[priority], _TAIL_OTHER, 0, 0, 0)
 
     def step(self, cfg):
-        """The engine's first successor of cfg: (config, trace items, dropped,
-        more).  dropped is the config a drop leaves at a medium decision, where
+        """The engine's first successor of cfg: (config, note, dropped, more),
+        where note is the note of the move taken (see _trace_items), None when
+        none is.  dropped is the config a drop leaves at a medium decision, where
         config is the first delivery, and None elsewhere; more tells whether
         any other successor exists.  config is None when cfg is stuck and
         _DEAD when the deduction dies.  The order: the destination's
@@ -287,7 +312,7 @@ class _Engine:
             moves = None if x is None else self.machines[x].recv[locals_[x][0]].get(msg)
             lost = (locals_, pr if x is None else x, tail[2], done, pending, parts)
             if not moves:  # no receiver is ready: the broadcast is discarded
-                return lost, (), None, False
+                return lost, None, None, False
             move, more, dropped = moves[0], len(moves) > 1, lost
         else:
             # Immediate moves: the environment-triggered events the target
@@ -309,12 +334,12 @@ class _Engine:
                     moves = self._hand_off(locals_, tail, want)
                     x, move = next(moves, (None, None))
                     if move is None:
-                        return None, (), None, False
+                        return None, None, None, False
                     more = next(moves, None) is not None
-        fuse, inc, new_tail, dst, items = move
+        fuse, inc, new_tail, dst, note = move
         if fuse is _ENV:
             if pending:  # a second call while one is pending kills the deduction
-                return _DEAD, items, None, more
+                return _DEAD, note, None, more
             pending = 1
         elif pending and fuse == self.wanted[done]:
             # A plain system event matching the pending environment event
@@ -329,7 +354,7 @@ class _Engine:
         if new_tail[0] == "b":
             new_tail += (tail,)
         return ((locals_[:x] + ((dst, vals),) + locals_[x + 1:], x, new_tail, done, pending,
-                 parts | (1 << x)), items, dropped, more)
+                 parts | (1 << x)), note, dropped, more)
 
     def _hand_off(self, locals_, tail, want):
         # Any car may act, by any rule, and takes the priority: (car, move)
@@ -346,8 +371,8 @@ class _Engine:
                     yield x, move
             for move in m.timeouts[state]:
                 yield x, move
-            for fuse, inc, new_tail, dst, items in m.recv[state].get(msg, ()):
-                yield x, (fuse, inc, new_tail, dst, items[1:])
+            for fuse, inc, new_tail, dst, note in m.recv[state].get(msg, ()):
+                yield x, (fuse, inc, new_tail, dst, note[:2] + (1,))
 
     def is_success(self, cfg) -> bool:
         locals_, pr, tail, done, pending, parts = cfg
@@ -523,8 +548,9 @@ class SequenceCheck:
     required: float  # read as its decimal, like drop_prob
     achieved: Fraction
 
-    @property
+    @functools.cached_property
     def margin(self) -> Fraction:
+        # Computed once: a verdict and the printed margin both read it.
         return self.achieved - Fraction(repr(self.required))
 
     @property
@@ -702,14 +728,15 @@ def _trace(graph: _Graph, run: int, draw) -> dict:
     the run takes the first successor, up to the end."""
     engine, rho, cfg, d = graph.engine, [], graph.engine.initial(), graph.drop_prob
     while not engine.is_success(cfg):
-        nxt, items, dropped, _ = engine.step(cfg)
+        nxt, note, dropped, _ = engine.step(cfg)
         if nxt is None:
             break  # stuck
         if dropped is not None and draw() < d:
-            nxt, items = dropped, ()
+            nxt, note = dropped, None
         if cfg[2][0] == "b":  # a step from a broadcast tail delivers, drops or discards it
             rho.pop()
-        rho.extend(items)
+        if note is not None:
+            rho.extend(_trace_items(note))
         if nxt is _DEAD:
             break
         cfg = nxt

@@ -17,7 +17,7 @@ from operator import mul
 
 from protoforge import Csa, GlobalEvent
 from protoforge.semantics import (_DEAD, _TAIL_OTHER, BroadcastItem, EnvItem, RecvItem, SysItem,
-                                  _Compiled, _Engine)
+                                  _Compiled, _Engine, _trace_items)
 
 
 class ReferenceEngine(_Engine):
@@ -32,11 +32,11 @@ class ReferenceEngine(_Engine):
         m = self.machines[x]
         out = []
         want = self.wanted[done + pending]
-        for key, (_, _, _, dst, items) in m.env[state]:
+        for key, (_, _, _, dst, note) in m.env[state]:
             if key == want:  # while one is pending, a second call kills the deduction
                 nl = self._set_local(locals_, x, dst, vals)
                 nxt = _DEAD if pending else (nl, x, _TAIL_OTHER, done, 1, parts | (1 << x))
-                out.append((nxt, items))
+                out.append((nxt, _trace_items(note)))
         for vi, op, bound, move in m.econd[state]:
             if vals[vi] <= bound if op == "<=" else vals[vi] > bound:
                 out.append(self._move(cfg, x, move))
@@ -53,7 +53,7 @@ class ReferenceEngine(_Engine):
 
     def _move(self, cfg, x, move):
         locals_, pr, tail, done, pending, parts = cfg
-        fuse, inc, new_tail, dst, items = move
+        fuse, inc, new_tail, dst, note = move
         vals = locals_[x][1]
         # A plain system event matching the pending environment event fuses
         # into the next global event of the target sequence.
@@ -64,7 +64,7 @@ class ReferenceEngine(_Engine):
         if new_tail[0] == "b":
             new_tail = new_tail + (tail,)
         nl = self._set_local(locals_, x, dst, vals)
-        return (nl, x, new_tail, done, pending, parts | (1 << x)), items
+        return (nl, x, new_tail, done, pending, parts | (1 << x)), _trace_items(note)
 
     def _set_local(self, locals_, x, state, vals):
         # Zero the counters dead at x's new state.

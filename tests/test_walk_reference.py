@@ -31,7 +31,7 @@ from protoforge import (
     run_monte_carlo,
     synthesize_for_car,
 )
-from protoforge.semantics import _DEAD, _END_FAILURE, _END_SUCCESS, _Graph, _Tables
+from protoforge.semantics import _DEAD, _END_FAILURE, _END_SUCCESS, _Graph, _Tables, _trace_items
 from protoforge.speclang import GlobalEvent, events_of
 from conftest import (choice_everywhere_csas, dead_deduction_csas, handoff_guard_csas,
                       handoff_reception_csas, handoff_sync_csas, medium_loop_csas,
@@ -265,7 +265,9 @@ def test_step_is_the_first_of_the_reference_successors():
                 continue
             seen.add(cfg)
             first = reference_first(engine, cfg)
-            assert engine.step(cfg) == first, cfg
+            nxt, note, dropped, more = engine.step(cfg)
+            items = () if note is None else _trace_items(note)
+            assert (nxt, items, dropped, more) == first, cfg
             shape = engine.expand(cfg)
             succs = shape[1] + [shape[2]] if shape[0] == "medium" else shape[1]
             todo.extend(nxt for nxt, _ in succs)

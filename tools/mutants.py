@@ -14,6 +14,11 @@ score per module.
 Run it from the root of a checkout, now and then, not as part of the suite:
 
     python tools/mutants.py --sample 40 --seed 7 --timeout 300
+
+--only PATH[:FIRST-LAST] keeps the sites of one module, or of lines FIRST to
+LAST of it; repeat it to keep several.  --sample 0 runs every site kept:
+
+    python tools/mutants.py --only src/protoforge/csa.py:360-420 --sample 0
 """
 
 from __future__ import annotations
@@ -134,17 +139,36 @@ def run_suite(path: Path, text: bytes, timeout: float) -> str:
     return "survived" if code == 0 else "killed"
 
 
+def only(text: str):
+    """(module path, first line, last line) of a --only PATH[:FIRST-LAST]."""
+    name, _, lines = text.partition(":")
+    path = (ROOT / name).resolve()
+    if path.parent != PACKAGE or path.suffix != ".py" or not path.is_file():
+        raise argparse.ArgumentTypeError(f"not a module of {PACKAGE.relative_to(ROOT)}: {name}")
+    first, _, last = lines.partition("-")
+    try:
+        return path, int(first) if first else 1, int(last) if last else sys.maxsize
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"lines must be FIRST-LAST, got {lines!r}") from None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--sample", type=int, default=40, help="mutants to run (default 40)")
+    ap.add_argument("--sample", type=int, default=40,
+                    help="mutants to run, 0 for every site (default 40)")
+    ap.add_argument("--only", type=only, action="append", metavar="PATH[:FIRST-LAST]",
+                    help="keep only the sites of this module or line range; may be repeated")
     ap.add_argument("--seed", type=int, default=7, help="seed of the sample (default 7)")
     ap.add_argument("--timeout", type=float, default=300.0,
                     help="seconds per mutant before it counts as killed (default 300)")
     args = ap.parse_args(argv)
 
-    every = [(path, *site) for path in sorted(PACKAGE.glob("*.py")) for site in sites(path)]
-    chosen = random.Random(args.seed).sample(every, min(args.sample, len(every)))
-    print(f"{len(every)} sites in {PACKAGE.relative_to(ROOT)}; running {len(chosen)} "
+    every = [(path, *site) for path in sorted(PACKAGE.glob("*.py")) for site in sites(path)
+             if not args.only or any(path == p and a <= site[0] <= b for p, a, b in args.only)]
+    count = len(every) if args.sample == 0 else min(args.sample, len(every))
+    chosen = random.Random(args.seed).sample(every, count)
+    print(f"{len(every)} sites in {PACKAGE.relative_to(ROOT)}"
+          f"{' kept by --only' if args.only else ''}; running {len(chosen)} "
           f"(seed {args.seed})", flush=True)
     # Unmutated, the copy must pass, or every mutant would count as killed.
     init = PACKAGE / "__init__.py"

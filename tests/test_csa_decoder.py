@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 
 import reference_decoder
-from protoforge import export_json, import_json, parse_spec, synthesize_all, validate
+from protoforge import (Condition, LocalEvent, Message, export_json, import_json, parse_spec,
+                        synthesize_all, validate)
+from protoforge import csa as csa_module
 from protoforge.semantics import SequenceCheck
 from conftest import CHAIN3_TEXT, EXAMPLE_TEXT
 from test_csa import csas
@@ -99,7 +101,8 @@ def assert_same_outcome(text, what=""):
 
 def synthesized_files():
     files = {}
-    for name, text in (("example", EXAMPLE_TEXT), ("chain3", CHAIN3_TEXT)):
+    zero = "delta 0; cars A B; e0 A->B . e1 B->A : 1"  # bounds 0: guards nu<=0 and nu>0
+    for name, text in (("example", EXAMPLE_TEXT), ("chain3", CHAIN3_TEXT), ("zero", zero)):
         result = synthesize_all(parse_spec(text))
         for car, csa in result.csas.items():
             files[f"{name}-{car}"] = export_json(csa)
@@ -127,7 +130,7 @@ def test_every_edit_of_a_key_meets_the_reference_outcome(name):
                  "expected an object holding", "unknown transition kind",
                  "local event kind must be", "invalid CSA for"):
         assert any(part in e for e in errors), part
-    if "chain3" in name:
+    if "example" not in name:
         assert any("condition bound must be nonnegative" in e for e in errors)
         assert any("condition operator must be" in e for e in errors)
     assert loads > 0
@@ -161,6 +164,32 @@ def test_every_edit_of_a_key_meets_the_reference_outcome(name):
         "nulls", "compact", "other-separators", "out-of-order"])
 def test_texts_off_the_written_layout_meet_the_reference_outcome(text):
     assert_same_outcome(text)
+
+
+def test_written_files_are_read_once_at_once(monkeypatch):
+    # A file as export_json writes it passes every check at once: it is
+    # parsed once, _get reads only the document's five keys, every event,
+    # message and condition is made without its constructor (which runs only
+    # to report a problem), and the file's order is kept without a sort.
+    loaded = {name: import_json(text) for name, text in FILES.items()}
+    get, reads = csa_module._get, []
+
+    def counted_get(obj, key, *args, **kwargs):
+        reads.append(key)
+        return get(obj, key, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a written file was parsed again or built through a constructor")
+
+    monkeypatch.setattr(csa_module, "_get", counted_get)
+    monkeypatch.setattr(csa_module, "_parse", refuse)
+    for cls in (LocalEvent, Message, Condition):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for name, text in FILES.items():
+        reads.clear()
+        csa = import_json(text)
+        assert csa == loaded[name] and "ordered_transitions" in vars(csa)
+        assert sorted(reads) == ["init", "owner", "states", "transitions", "vars"]
 
 
 def test_bytes_load_as_their_text_does():

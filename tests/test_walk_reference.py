@@ -31,11 +31,12 @@ from protoforge import (
     run_monte_carlo,
     synthesize_for_car,
 )
-from protoforge.semantics import _DEAD, _END_FAILURE, _END_SUCCESS, _Graph, _Tables, _trace_items
+from protoforge.semantics import (_DEAD, _END_FAILURE, _END_SUCCESS, _Compiled, _Graph, _Tables,
+                                  _trace, _trace_items)
 from protoforge.speclang import GlobalEvent, events_of
 from conftest import (choice_everywhere_csas, dead_deduction_csas, handoff_guard_csas,
                       handoff_reception_csas, handoff_sync_csas, medium_loop_csas,
-                      random_dialogue, two_choice_csas)
+                      random_dialogue, timeout_loop_csas, two_choice_csas)
 from reference_stepper import ReferenceEngine, UnreducedEngine
 
 # The three `simulate` specifications of the benchmark, with its fixed bounds.
@@ -277,3 +278,48 @@ def test_step_is_the_first_of_the_reference_successors():
                         and first[0][1] != cfg[1]})
     assert met["config"] > 700 and all(met[k] > 0 for k in
                                       ("medium", "stuck", "dead", "more", "hand-off")), met
+
+
+def test_a_draw_equal_to_the_drop_probability_delivers():
+    # A medium decision drops only when its draw is below the drop
+    # probability, in a traced run as in the table walk: drawing exactly the
+    # drop probability every time delivers every broadcast.
+    for csas, sigma in CASES:
+        graph = _Graph(csas, sigma, 0.35)
+        assert _trace(graph, 0, lambda: 0.35)["outcome"] == "success"
+        assert _Tables(graph).walk(1, lambda: 0.35) == 1
+
+
+def reference_live(csa) -> list:
+    """Per state, a 1/0 factor per counter, or None when every counter is
+    live: live where a guard at the state reads it, or live at a successor."""
+    live = {s: set() for s in csa.states}
+    for (src, label), _ in csa.transitions.items():
+        if hasattr(label, "cond"):
+            live[src].add(label.cond.var)
+    changed = True
+    while changed:
+        changed = False
+        for (src, _), dst in csa.transitions.items():
+            if not live[dst] <= live[src]:
+                live[src] |= live[dst]
+                changed = True
+    return [None if live[s] == set(csa.vars) else tuple(int(v in live[s]) for v in csa.vars)
+            for s in csa.states]
+
+
+def test_counters_are_live_where_a_guard_reads_them_ahead():
+    rng = random.Random(11)
+    pairs = [csas for csas, _ in CASES]
+    for tree in (random_dialogue(rng) for _ in range(20)):
+        bounds = {e: rng.randint(0, 3) for e in events_of(tree)}
+        pairs.append([synthesize_for_car(tree, car, bounds) for car in ("A", "B")])
+    pairs += [timeout_loop_csas(), handoff_guard_csas(), choice_everywhere_csas()]
+    partly = every = 0
+    for csas in pairs:
+        compiled = _Compiled(csas)
+        for csa, machine in zip(compiled, compiled.machines):
+            assert machine.live == reference_live(csa)
+            partly += any(keep is not None for keep in machine.live)
+            every += None in machine.live and bool(csa.vars)
+    assert partly > 10 and every > 10

@@ -297,13 +297,13 @@ class _Engine:
 
     def step(self, cfg):
         """The engine's first successor of cfg: (config, note, dropped, more),
-        where note is the note of the move taken (see _trace_items), None when
-        none is.  dropped is the config a drop leaves at a medium decision, where
-        config is the first delivery, and None elsewhere; more tells whether
-        any other successor exists.  config is None when cfg is stuck and
-        _DEAD when the deduction dies.  The order: the destination's
-        receptions at a broadcast tail; else the priority holder's immediate
-        moves, or else its timeouts; else a hand-off."""
+        where note names the trace items of the move taken (_trace_items), or
+        is None when none is.  dropped is the config a drop leaves at a
+        medium decision, where config is the first delivery, and None
+        elsewhere; more tells whether any other successor exists.  config is
+        None when cfg is stuck and _DEAD when the deduction dies.  The order:
+        the destination's receptions at a broadcast tail; else the priority
+        holder's immediate moves, or else its timeouts; else a hand-off."""
         locals_, pr, tail, done, pending, parts = cfg
         dropped, more = None, False
         if tail[0] == "b":

@@ -2,14 +2,14 @@
 
 Each test loads a text with both decoders and asserts the same outcome: an
 equal `Csa`, or a `ValueError` with the same text.  The edited files are the
-synthesized CSAs of the example and of a 3-event chain; every key of every
-object in them is deleted, given another JSON value (each JSON type, and
-values a constructor rejects), and repeated in its object.
+synthesized CSAs of the example, of a 3-event chain and of a 2-event chain
+with bounds 0; every key of every object and every item of every list in
+them is deleted, repeated, and replaced by another JSON value (each JSON
+type, and values a constructor rejects).
 """
 
 import dataclasses
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,6 @@ import reference_decoder
 from protoforge import (Condition, LocalEvent, Message, export_json, import_json, parse_spec,
                         synthesize_all, validate)
 from protoforge import csa as csa_module
-from protoforge.semantics import SequenceCheck
 from conftest import CHAIN3_TEXT, EXAMPLE_TEXT
 from test_csa import csas
 
@@ -204,9 +203,3 @@ def test_written_files_meet_the_reference_outcome(csa):
     got = assert_same_outcome(export_json(csa))
     if validate(csa).ok:  # else a final state outside the states is not in the file
         assert got == csa and got.ordered_transitions == csa.ordered_transitions
-
-
-def test_margin_is_computed_once():
-    chk = SequenceCheck((), 0.7, Fraction(7, 10))
-    assert chk.margin == 0 and chk.satisfied
-    assert chk.margin is chk.margin

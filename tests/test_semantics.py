@@ -628,3 +628,10 @@ def test_no_global_event_fused_across_interleaved_sys(example_spec, reference_cs
                     pending = None
                 else:
                     pending = ("tainted", env)
+
+
+def test_margin_is_computed_once():
+    # verify reads a sequence's margin for its verdict and again to print it.
+    chk = semantics.SequenceCheck((), 0.7, Fraction(7, 10))
+    assert chk.margin == 0 and chk.satisfied
+    assert chk.margin is chk.margin

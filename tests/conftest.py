@@ -217,6 +217,38 @@ def handoff_sync_csas() -> list:
     return [caller, answerer]
 
 
+def repeat_sender_csas() -> list:
+    """Hand-written CSAs in which A calls twice in a row: A takes the e0 call
+    and broadcasts m0, B receives it and takes the priority with nothing to
+    do, and at the hand-off A takes the e1 call and broadcasts m1.  A never
+    retransmits, so a drop ends the run."""
+    caller = Csa(
+        owner="A",
+        states=("s0", "s1", "s2", "s3", "s4"),
+        vars=("n",),
+        init="s0",
+        finals=frozenset({"s4"}),
+        transitions={
+            ("s0", EnvEvent(LocalEvent("e0", "B", None, "env"))): "s1",
+            ("s1", BroadcastCond(Message("m0", "A", "B"), Condition("n", "<=", 0))): "s2",
+            ("s2", EnvEvent(LocalEvent("e1", "B", None, "env"))): "s3",
+            ("s3", BroadcastCond(Message("m1", "A", "B"), Condition("n", "<=", 0))): "s4",
+        },
+    )
+    receiver = Csa(
+        owner="B",
+        states=("r0", "r1", "r2"),
+        vars=(),
+        init="r0",
+        finals=frozenset({"r2"}),
+        transitions={
+            ("r0", RecvSys(Message("m0", "A", "B"), LocalEvent("e0", "A", None, "sys"))): "r1",
+            ("r1", RecvSys(Message("m1", "A", "B"), LocalEvent("e1", "A", None, "sys"))): "r2",
+        },
+    )
+    return [caller, receiver]
+
+
 def two_choice_csas() -> list:
     """Hand-written CSAs with a choice that is no medium decision: A takes the
     e0 call, and at the hand-off B has two guarded system events that both

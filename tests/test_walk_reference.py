@@ -36,7 +36,8 @@ from protoforge.semantics import (_DEAD, _END_FAILURE, _END_SUCCESS, _Compiled, 
 from protoforge.speclang import GlobalEvent, events_of
 from conftest import (choice_everywhere_csas, dead_deduction_csas, handoff_guard_csas,
                       handoff_reception_csas, handoff_sync_csas, medium_loop_csas,
-                      random_dialogue, timeout_loop_csas, two_choice_csas)
+                      random_dialogue, repeat_sender_csas, timeout_loop_csas,
+                      two_choice_csas)
 from reference_stepper import ReferenceEngine, UnreducedEngine
 
 # The three `simulate` specifications of the benchmark, with its fixed bounds.
@@ -226,6 +227,7 @@ HAND_WRITTEN = (
     (two_choice_csas, (GlobalEvent("e0", "A", "B"),)),
     (handoff_guard_csas, (GlobalEvent("e0", "A", "B"),)),
     (choice_everywhere_csas, (GlobalEvent("e0", "A", "B"),)),
+    (repeat_sender_csas, (GlobalEvent("e0", "A", "B"), GlobalEvent("e1", "A", "B"))),
 )
 
 

@@ -243,11 +243,11 @@ def cmd_feasible(args) -> int:
         full.protocol, grid_n, grid_dmax, grid_tau, cap=args.cap
     )
     csv = medium_mod.sweep_csv(rows)
-    sys.stdout.write(csv)
-    if args.out:
+    if args.out:  # written before printing, so a DIR that fails prints nothing
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_text(out / "feasibility.csv", csv)
+    sys.stdout.write(csv)
     return EXIT_OK
 
 

@@ -7,13 +7,24 @@ probability follows one logistic curve with fixed constants, SIGMOID_SCALE a
 and SIGMOID_RATE b: delta(r) = 1 / (1 + a * exp(-b * r)), which grows from
 1/(1 + a) = 0.2 at r = 0 toward 1 under load.
 
-`feasibility_sweep` solves the bounds once per distinct delta: delta depends
-only on r, and many grid points share an r (the default 1000-point grid of
-the CLI has 199 distinct deltas).  It reads each axis once into a list and
-validates the axes, not the points: every `MediumParams` check bounds one
-field from below, so len(N) + len(d_max) + len(tau_min) parameter sets find
-the grid's first invalid point, and they are all checked before the first
-solve.  Rows are NamedTuples.
+`feasibility_sweep` reads each axis once into a list and validates the axes,
+not the points: every `MediumParams` check bounds one field from below, so
+len(N) + len(d_max) + len(tau_min) parameter sets find the grid's first
+invalid point, and they are all checked before the first solve.  Rows are
+NamedTuples.
+
+delta depends only on r, and many grid points share an r: the default
+1000-point grid of the CLI has 199 distinct deltas and 11 distinct answers.
+The sweep solves only where the answer can change.  A larger drop probability
+lowers every sequence's synchronization probability, so as delta rises the
+least total of the bounds never falls, and once no bounds within the cap meet
+the requirements, none do at any larger delta.  Two solves that agree on
+(realizable, sum_bounds) therefore give that answer to every delta between
+them.  The sweep solves the least and the greatest distinct delta and bisects
+each range whose ends differ: 34 solves on the example's default grid.  The
+solver decides `value >= p` in floats, and at an exactly attainable
+requirement it can return a non-minimal total; a row filled in between two
+solves is then exactly as trustworthy as the two solves that bracket it.
 """
 
 from __future__ import annotations
@@ -84,24 +95,49 @@ def feasibility_sweep(
     events, constraints = _constraints(spec)
     if grid_n and grid_dmax and grid_tau:
         _check_axes(grid_n, grid_dmax, grid_tau)
-    # `_solve` is a pure function of delta once the constraints and the cap
-    # are fixed, so grid points with equal deltas share one solve and its
-    # (realizable, sum_bounds).
-    outcome_at: dict[float, tuple] = {}
-    rows = []
+    points = []
     for n in grid_n:
         for dm in grid_dmax:
             for tau in grid_tau:
                 rate = _rate(n, dm, tau)
                 delta = _logistic(rate)
-                outcome = outcome_at.get(delta)
-                if outcome is None:
-                    solved = _solve(events, constraints, delta, cap)
-                    ok = not isinstance(solved, Infeasible)
-                    outcome = outcome_at[delta] = (ok, sum(solved.values()) if ok else None)
-                ok, sum_bounds = outcome
-                rows.append(SweepRow(n, dm, tau, rate, delta, ok, sum_bounds))
-    return rows
+                # A NaN delta (d_max = inf at N = 2, or a NaN axis value) has
+                # no place in the sorted order, and a negative cap fails at
+                # the first point: a solve here raises what one solve per
+                # point raised.
+                if math.isnan(delta) or (cap < 0 and not points):
+                    _solve(events, constraints, delta, cap)
+                points.append((n, dm, tau, rate, delta))
+    outcome_at = _outcomes(events, constraints, sorted({point[4] for point in points}), cap)
+    return [SweepRow(*point, *outcome_at[point[4]]) for point in points]
+
+
+def _outcomes(events: list, constraints: list, deltas: list, cap: int) -> dict:
+    """(realizable, sum_bounds) at each of the ascending distinct deltas."""
+    outcomes: list = [None] * len(deltas)
+
+    def solve(i):
+        solved = _solve(events, constraints, deltas[i], cap)
+        ok = not isinstance(solved, Infeasible)
+        outcomes[i] = (ok, sum(solved.values()) if ok else None)
+
+    if deltas:
+        last = len(deltas) - 1
+        solve(0)
+        if last:
+            solve(last)
+        ranges = [(0, last)]
+        while ranges:
+            lo, hi = ranges.pop()
+            if hi - lo < 2:  # no delta strictly inside
+                continue
+            if outcomes[lo] == outcomes[hi]:
+                outcomes[lo + 1:hi] = [outcomes[lo]] * (hi - lo - 1)
+            else:
+                mid = (lo + hi) // 2
+                solve(mid)
+                ranges += [(lo, mid), (mid, hi)]
+    return dict(zip(deltas, outcomes))
 
 
 def _check_axes(grid_n: list, grid_dmax: list, grid_tau: list):

@@ -608,6 +608,28 @@ def test_simulate_out_on_a_file_prints_nothing(tmp_path, spec_file, synth_dir, c
     assert taken.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("command", ["synth", "feasible"])
+def test_out_on_a_file_prints_nothing(tmp_path, spec_file, capsys, command):
+    # DIR is made before any output, as for simulate above.
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    code, out, err = run(capsys, [command, "--spec", str(spec_file), "--out", str(taken)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_feasible_csv_that_cannot_be_written_prints_nothing(tmp_path, spec_file, capsys):
+    # The CSV file is written before the CSV is printed.
+    out_dir = tmp_path / "out"
+    (out_dir / "feasibility.csv").mkdir(parents=True)
+    code, out, err = run(capsys, ["feasible", "--spec", str(spec_file), "--out", str(out_dir)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_feasible_csv(tmp_path, capsys):
     path = tmp_path / "hard.psl"
     path.write_text(HARD_TEXT + "\n")

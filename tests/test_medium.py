@@ -1,6 +1,10 @@
 import itertools
+import math
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from protoforge import (
     Infeasible,
@@ -14,7 +18,7 @@ from protoforge import (
     solve_opt,
     sweep_csv,
 )
-from conftest import MIXED_TEXT, memo_tables
+from conftest import MIXED_TEXT, memo_tables, random_dialogue
 
 # The CLI's default grid (1000 points) and a 16-point grid for a tree whose
 # two sequences have different lengths.
@@ -141,7 +145,10 @@ def test_sweep_solves_each_distinct_delta_once(example_spec, monkeypatch):
     monkeypatch.setattr(medium, "_solve", counted)
     rows = feasibility_sweep(example_spec.protocol, *DEFAULT_GRID)
     assert len(rows) == 1000
-    assert len(deltas) == len(set(deltas)) == len({row.delta for row in rows}) == 199
+    # 199 distinct deltas with 11 distinct answers: the bisection solves 34
+    # of them, none twice.
+    assert len({row.delta for row in rows}) == 199
+    assert len(deltas) == len(set(deltas)) == 34
 
 
 @pytest.mark.parametrize("text, grid", [(None, DEFAULT_GRID), (MIXED_TEXT, MIXED_GRID)],
@@ -214,7 +221,8 @@ def test_sweep_rejects_an_invalid_value_anywhere_before_any_solve(example_spec, 
 def test_default_grid_sweep_computes_each_closed_form_once(example_spec, monkeypatch):
     # Counts work rather than time.  With the solver's memo tables cold, the
     # sweep computes the two-event closed form once per distinct (n1, n2,
-    # delta); without a memo on bounds._sync_prob it computes it 2,462 times.
+    # delta) at the 34 deltas it solves; a solve at each of the 199 distinct
+    # deltas computed it 974 times.
     from protoforge import bounds
 
     for table in memo_tables().values():
@@ -228,4 +236,131 @@ def test_default_grid_sweep_computes_each_closed_form_once(example_spec, monkeyp
 
     monkeypatch.setattr(bounds, "sync_prob_two", counted)
     feasibility_sweep(example_spec.protocol, *DEFAULT_GRID)
-    assert len(calls) == len(set(calls)) == 974
+    assert len(calls) == len(set(calls)) == 396
+
+
+def _solved_per_delta(spec, grid, cap=medium.DEFAULT_CAP):
+    # One solve per distinct delta, in grid order: the sweep's rows without
+    # the bisection.
+    events, constraints = medium._constraints(spec)
+    outcome_at = {}
+    rows = []
+    for n, dm, tau in itertools.product(*grid):
+        rate = medium._rate(n, dm, tau)
+        delta = medium._logistic(rate)
+        if delta not in outcome_at:
+            solved = medium._solve(events, constraints, delta, cap)
+            ok = not isinstance(solved, Infeasible)
+            outcome_at[delta] = (ok, sum(solved.values()) if ok else None)
+        rows.append(medium.SweepRow(n, dm, tau, rate, delta, *outcome_at[delta]))
+    return rows
+
+
+NAN_SPEC = "delta 0.3; cars A B; e0 A->B . e1 B->A : 0.1"
+
+
+def _with_nan_at(index):
+    dmaxes = [100.0 * k for k in range(12)]
+    dmaxes.insert(index, math.nan)
+    return [3], dmaxes, [1.0]
+
+
+@pytest.mark.parametrize("grid", [_with_nan_at(index) for index in (0, 1, 2, 3, 12)] + [
+    ([2, 3], [100.0, math.inf], [1.0]),  # N = 2 and d_max = inf give rate 0 * inf
+    ([3, 2], [math.inf], [1.0]),
+    ([3], [100.0], [1.0, math.nan]),
+    ([math.nan, 3], [100.0], [1.0]),
+], ids=[f"nan-dmax-{index}" for index in (0, 1, 2, 3, 12)]
+   + ["n2-inf", "n2-inf-last", "nan-tau", "nan-n"])
+def test_sweep_rejects_a_nan_delta_wherever_it_sorts(grid):
+    # MediumParams accepts these points, and their NaN delta has no place in
+    # the sorted order of deltas; the sweep raises what a solve there raises.
+    with pytest.raises(ValueError) as info:
+        feasibility_sweep(parse_spec(NAN_SPEC).protocol, *grid)
+    assert str(info.value) == "drop probability nan outside [0, 1]"
+
+
+def test_sweep_rejects_a_nan_delta_among_equal_answers():
+    # Every finite delta here gives (True, 0), so a NaN delta that a sorted
+    # order placed between two of them would take that answer unsolved.
+    # Where a NaN lands in a set of floats follows its id, so the sweep runs
+    # ten times, each with a new NaN delta.
+    spec = parse_spec("delta 0.3; cars A B; e0 A->B . e1 B->A : 0").protocol
+    dmaxes = [float(k) for k in range(200)]
+    for index in range(0, 200, 20):
+        with pytest.raises(ValueError) as info:
+            feasibility_sweep(spec, [3], dmaxes[:index] + [math.nan] + dmaxes[index:], [1.0])
+        assert str(info.value) == "drop probability nan outside [0, 1]"
+
+
+def test_infinite_load_is_an_unrealizable_row():
+    # d_max = inf with N > 2 gives rate inf and delta exactly 1.
+    spec, grid = parse_spec(NAN_SPEC).protocol, ([3], [0.0, 100.0, math.inf], [1.0])
+    rows = feasibility_sweep(spec, *grid)
+    assert [(row.rate, row.realizable) for row in rows] == [
+        (0.0, True), (100.0, True), (math.inf, False)]
+    assert rows[-1].delta == 1.0
+    assert rows == _solved_per_delta(spec, grid)
+
+
+@pytest.mark.parametrize("grid", [
+    ([3], [0.0, 100.0, math.nan], [1.0]),
+    ([2], [math.inf], [1.0]),
+    ([3], [0.0, 100.0], [1.0]),
+], ids=["nan-later", "nan-only", "valid"])
+def test_a_negative_cap_raises_before_anything_else(grid):
+    with pytest.raises(ValueError) as info:
+        feasibility_sweep(parse_spec(NAN_SPEC).protocol, *grid, cap=-1)
+    assert str(info.value) == "cap must be nonnegative"
+
+
+def test_a_negative_cap_over_no_points_returns_no_rows():
+    assert feasibility_sweep(parse_spec(NAN_SPEC).protocol, [3], [], [1.0], cap=-1) == []
+
+
+def _chain_text(k, p):
+    events = " . ".join(f"e{i} {'A->B' if i % 2 == 0 else 'B->A'}" for i in range(k))
+    return f"delta 0.5; cars A B; {events} : {p}"
+
+
+specs = st.one_of(
+    st.builds(lambda k, p: parse_spec(_chain_text(k, p)).protocol,
+              st.integers(2, 4), st.sampled_from(["0", "0.05", "0.3", "0.49", "0.6", "0.75",
+                                                  "0.79", "0.95"])),
+    st.builds(lambda seed: random_dialogue(random.Random(seed), max_events=5),
+              st.integers(0, 10**6)),
+)
+axes = st.tuples(
+    st.lists(st.integers(2, 12), min_size=1, max_size=4),
+    st.lists(st.sampled_from([0.0, 50.0, 100.0, 250.0, 400.0, 1000.0]), min_size=1, max_size=4),
+    st.lists(st.sampled_from([0.5, 1.0, 2.0, 5.0]), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(spec=specs, grid=axes)
+@example(spec=parse_spec(_chain_text(2, "0.3")).protocol, grid=([5], [100.0], [1.0]))  # one point
+@example(spec=parse_spec(_chain_text(3, "0.95")).protocol,  # unrealizable everywhere
+         grid=([2, 6, 11], [100.0, 1000.0], [1.0, 2.0]))
+@example(spec=parse_spec(_chain_text(2, "0.05")).protocol,  # realizable everywhere
+         grid=([2, 6, 11], [100.0, 1000.0], [1.0, 2.0]))
+@example(spec=parse_spec(_chain_text(4, "0.6")).protocol,  # repeated rates
+         grid=([2, 2, 3, 4], [100.0, 200.0, 100.0], [1.0, 2.0]))
+def test_sweep_rows_equal_a_solve_per_distinct_delta(spec, grid):
+    assert feasibility_sweep(spec, *grid) == _solved_per_delta(spec, grid)
+
+
+@pytest.mark.parametrize("cap, solves", [(0, 2), (1, 12)])
+def test_sweep_solves_no_delta_twice_at_any_cap(example_spec, monkeypatch, cap, solves):
+    deltas = []
+    solve = medium._solve
+
+    def counted(events, constraints, delta, cap):
+        deltas.append(delta)
+        return solve(events, constraints, delta, cap)
+
+    monkeypatch.setattr(medium, "_solve", counted)
+    rows = feasibility_sweep(example_spec.protocol, *DEFAULT_GRID, cap=cap)
+    assert len(deltas) == len(set(deltas)) == solves
+    monkeypatch.setattr(medium, "_solve", solve)
+    assert rows == _solved_per_delta(example_spec.protocol, DEFAULT_GRID, cap)

@@ -16,13 +16,18 @@ summed over the round's operations:
     explore  `explore_sync` per sequence (verify)
     walk     `run_monte_carlo` per sequence (simulate)
     solve    `synthesize_all` (synth) or `feasibility_sweep` (feasible)
-    export   `export_json` and `export_dot` of each CSA (synth)
+    export   `export_json` and `export_dot` of each CSA and the text of
+             bounds.json (synth), or `sweep_csv` of the rows (feasible)
+    output   the output directory made and every file written (`cli._write_text`)
 
 Each round starts with cold memo tables, as a bench round does. The report
 gives each stage's best and median over the rounds, in ms, and the sum of
-the best times. A traced bench round (`bench/run.py --trace 1`) times one
-round with span wrappers in the way; the best of many plain rounds is the
-figure to compare two trees by. Run it from the root of a checkout.
+the best times. For each `feasible` operation it also gives the number of
+`_solve` calls against the number of distinct drop bounds of its grid,
+counted in one more, untimed round. A traced bench round (`bench/run.py
+--trace 1`) times one round with span wrappers in the way; the best of many
+plain rounds is the figure to compare two trees by. Run it from the root of
+a checkout.
 """
 
 from __future__ import annotations
@@ -74,15 +79,70 @@ def _round(pf, ops) -> dict:
                                        for s in sequences])
         elif command == "synth":
             result = timed("solve", pf.synthesize_all, full, args.cap)
-            timed("export", lambda: [(pf.export_json(c), pf.export_dot(c))
-                                     for c in result.csas.values()])
+            files = timed("export", _synth_files, pf, full, result)
+            timed("output", _write, Path(args.out), files)
         elif command == "feasible":
-            grids = [[*cli._parse_grid(text, integer)[1]] for text, integer in
-                     ((args.grid_n, True), (args.grid_dmax, False), (args.grid_tau, False))]
-            timed("solve", lambda: pf.feasibility_sweep(full.protocol, *grids, cap=args.cap))
+            grids = _grids(args)
+            rows = timed("solve", lambda: pf.feasibility_sweep(full.protocol, *grids,
+                                                               cap=args.cap))
+            csv = timed("export", pf.sweep_csv, rows)
+            timed("output", _write, Path(args.out), {"feasibility.csv": csv})
         else:
             raise SystemExit(f"split: no stages for command {command!r}")
     return times
+
+
+def _grids(args) -> list:
+    from protoforge import cli
+
+    return [[*cli._parse_grid(text, integer)[1]] for text, integer in
+            ((args.grid_n, True), (args.grid_dmax, False), (args.grid_tau, False))]
+
+
+def _synth_files(pf, full, result) -> dict:
+    # The files `synth` writes without --format, by name.
+    files = {}
+    for car in full.cars:
+        files[f"{car}.json"] = pf.export_json(result.csas[car])
+        files[f"{car}.dot"] = pf.export_dot(result.csas[car])
+    named = pf.bounds_by_name(full.protocol, result.bounds)
+    files["bounds.json"] = pf.csa.json_text(named) + "\n"
+    return files
+
+
+def _write(out: Path, files: dict) -> None:
+    from protoforge import cli
+
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        cli._write_text(out / name, text)
+
+
+def _solve_counts(pf, ops) -> list:
+    """(operation, `_solve` calls, distinct drop bounds) of each feasible
+    operation, in one more round with cold memo tables."""
+    from protoforge import cli, medium
+
+    deltas, solve = [], medium._solve
+
+    def counted(events, constraints, delta, cap):
+        deltas.append(delta)
+        return solve(events, constraints, delta, cap)
+
+    counts = []
+    bench.clear_memo_tables()
+    medium._solve = counted
+    try:
+        for op in ops:
+            if op.argv[0] == "feasible":
+                args = cli.build_parser().parse_args(op.argv)
+                full = cli._load_spec(args.spec, None)
+                deltas.clear()
+                rows = pf.feasibility_sweep(full.protocol, *_grids(args), cap=args.cap)
+                counts.append((op.name, len(deltas), len({row.delta for row in rows})))
+    finally:
+        medium._solve = solve
+    return counts
 
 
 def main(argv=None) -> int:
@@ -98,6 +158,7 @@ def main(argv=None) -> int:
         ops = bench.WORKLOADS[args.workload](built, args.seed)
         built.write()
         rounds = [_round(pf, ops) for _ in range(args.rounds)]
+        solves = _solve_counts(pf, ops)
     stages = list(rounds[0])
     print(f"{args.workload}, seed {args.seed}: {len(ops)} operations, best and median of "
           f"{len(rounds)} rounds, ms")
@@ -106,6 +167,8 @@ def main(argv=None) -> int:
         print(f"  {stage:8} {min(values):8.2f} {statistics.median(values):8.2f}")
     best = sum(min(r[stage] for r in rounds) for stage in stages) * 1e3
     print(f"  {'sum':8} {best:8.2f}")
+    for name, calls, distinct in solves:
+        print(f"  {name}: {calls} solves for {distinct} distinct drop bounds")
     return 0
 
 

@@ -261,20 +261,12 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
         suffix_min[j] = suffix_min[j + 1] + lower[j]
 
     def go(j, remaining):
-        if j == k - 1:
-            # A guard, unreachable while P is monotone: vec[:j] + [top] passed
-            # the pruning test at level j - 1 and has a smaller total, so it
-            # was found first.  remaining >= lower[j] always holds: level
-            # j - 1 left suffix_min[j] (well_posed gives k >= 2).
-            if remaining > top:
-                return False
-            vec[j] = remaining
-            if feasible(vec):
-                return True
-            vec[j] = top
-            return False
+        if j == k:
+            return True
+        # The last entry takes what remains: remaining >= lower[j] there,
+        # since level j - 1 left suffix_min[j] (well_posed gives k >= 2).
         hi = min(top, remaining - suffix_min[j + 1])
-        for n in range(lower[j], hi + 1):
+        for n in range(remaining if j == k - 1 else lower[j], hi + 1):
             vec[j] = n
             # Monotone pruning: the entries after j still hold top.
             if feasible(vec) and go(j + 1, remaining - n):

@@ -33,10 +33,13 @@ message in an engine config is its id), is compiled once per check:
 `check_correctness` compiles each CSA once for all its sequences.  `_Graph`
 builds from the engine one lazily compiled deduction graph per (CSAs, sigma)
 whose nodes are the medium decisions and the ends, with dead counters zeroed.
-`explore_sync` evaluates it backward in exact decimals, and `run_monte_carlo`
-walks int-indexed tables of its next medium nodes, built whole and checked to
-end.  A traced run steps the engine itself from the initial config, drawing at
-each medium config as the tables do, and builds rho as it goes.
+Each medium node is numbered once, when the walk of first successors that
+reaches it ends there, and the graph keeps, per id, the ids its delivery and
+its drop lead to.  `explore_sync` evaluates those lists backward in exact
+decimals; `run_monte_carlo` links them whole, checks that every node can
+end, and walks them.  A traced run steps the engine itself from the initial
+config, drawing at each medium config as the walk does, and builds rho as it
+goes.
 """
 
 from __future__ import annotations
@@ -388,23 +391,10 @@ class _Engine:
 # Deduction graph
 
 _SUCCESS, _FAILURE = "success", "failure"
-_OPEN = "open"  # value of a node whose backward pass is under way
-
-
-class _Node:
-    # A medium decision, or one of the two ends below.  raw: the engine's
-    # (delivered, dropped) configs, until link replaces them with deliver and
-    # drop, the outcomes as nodes (None for an outcome of probability 0);
-    # value: the probability of success, from the backward pass.
-    __slots__ = ("raw", "deliver", "drop", "value")
-
-    def __init__(self, raw=None, value=None):
-        self.raw, self.value = raw, value
-        self.deliver = self.drop = None
-
-
-_SUCCESS_NODE = _Node(value=1)
-_FAILURE_NODE = _Node(value=0)
+# The ends of a deduction, as node ids.  _walk counts successes from the sum
+# of the ends it reaches, so they must stay -1 and -2: with s successes in n
+# runs they sum to -s - 2(n - s) = s - 2n.
+_END_SUCCESS, _END_FAILURE = -1, -2
 
 
 def _cycle(why: str) -> DivergenceDetected:
@@ -422,28 +412,38 @@ class _Graph:
     come from an engine that zeroes the counters dead at each car's state,
     which merges configs no guard tells apart.  The budget bounds the
     distinct configs.
+
+    A medium node's id is its index in three lists: raw[i] holds the
+    engine's (delivered, dropped) configs until link(i) replaces them with
+    None, and deliver[i] and drop[i] the id of the node each outcome leads
+    to, an end or a medium node.  An outcome of probability 0 is never
+    followed and leads to _END_FAILURE.
     """
 
     def __init__(self, csas, sigma, drop_prob):
         self.engine = _Engine(csas, sigma)
         self.drop_prob = drop_prob
         self.budget = _budget()
-        self.nodes: dict = {}
+        self.nodes: dict = {}  # config -> node id
+        self.raw: list = []
+        self.deliver: list = []
+        self.drop: list = []
         self.branching = False  # the first-successor order resolved some choice
         self.root = self.node(self.engine.initial())
 
-    def node(self, cfg) -> _Node:
+    def node(self, cfg) -> int:
         # Walk first successors from cfg to the next medium decision or end.
-        # Each new config is hashed once, into nodes with this walk's mark: a
-        # config met again with the mark is a cycle, one with another node
-        # joins an earlier walk.  The mark becomes the medium node the walk
-        # ends at; a walk that ends elsewhere maps its configs to that end.
+        # Each new config is hashed once, into nodes with this walk's mark,
+        # the next free id: a config met again with the mark is a cycle, one
+        # with another id joins an earlier walk.  The mark becomes the id of
+        # the medium node the walk ends at; a walk that ends elsewhere maps
+        # its configs to that end, which leaves the mark free for the next.
         nodes, step, is_success = self.nodes, self.engine.step, self.engine.is_success
-        mark, trail = _Node(), []
+        mark, trail = len(self.raw), []
         size, n_sigma = len(nodes), len(self.engine.sigma)
         while cfg is not _DEAD:
             found = nodes.setdefault(cfg, mark)
-            if found is not mark:
+            if found != mark:
                 break
             if len(nodes) == size:
                 raise _cycle("repeats with no medium decision in between")
@@ -455,28 +455,32 @@ class _Graph:
                 )
             trail.append(cfg)
             if cfg[3] == n_sigma and is_success(cfg):
-                found = _SUCCESS_NODE
+                found = _END_SUCCESS
                 break
             cfg, _, dropped, more = step(cfg)
             if more:
                 self.branching = True
             if dropped is not None:
-                mark.raw = (cfg, dropped)
+                self.raw.append((cfg, dropped))
+                self.deliver.append(_END_FAILURE)
+                self.drop.append(_END_FAILURE)
                 return mark
             if cfg is None:  # stuck
-                found = _FAILURE_NODE
+                found = _END_FAILURE
                 break
         else:  # dead
-            found = _FAILURE_NODE
+            found = _END_FAILURE
         for c in trail:
             nodes[c] = found
         return found
 
-    def link(self, node):
-        delivered, dropped = node.raw
-        node.raw = None
-        node.deliver = self.node(delivered) if self.drop_prob < 1.0 else None
-        node.drop = self.node(dropped) if self.drop_prob > 0.0 else None
+    def link(self, i: int) -> None:
+        delivered, dropped = self.raw[i]
+        self.raw[i] = None
+        if self.drop_prob < 1.0:
+            self.deliver[i] = self.node(delivered)
+        if self.drop_prob > 0.0:
+            self.drop[i] = self.node(dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +490,7 @@ class _Graph:
 # is read as its shortest decimal, repr(x): for a decimal of up to 15
 # significant digits, that is the text it was parsed from.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_OPEN = "open"  # value of a node whose backward pass is under way
 
 
 @dataclass
@@ -513,29 +518,30 @@ def explore_sync(
     DivergenceDetected.  The pass runs in _EXACT on the decimal of drop_prob.
     """
     graph = _Graph(csas, sigma, drop_prob)
+    deliver, drop = graph.deliver, graph.drop
     d = Decimal(repr(drop_prob))
+    value = {_END_SUCCESS: 1, _END_FAILURE: 0}  # node id -> probability of success
     with localcontext(_EXACT):
         rho = 1 - d
         stack = [graph.root]
         while stack:
-            node = stack[-1]
-            if node.value is None:
-                node.value = _OPEN
-                graph.link(node)
-                for child in (node.deliver, node.drop):
-                    if child is None:
-                        continue
-                    if child.value is None:
+            i = stack[-1]
+            v = value.get(i)
+            if v is None:
+                value[i] = _OPEN
+                graph.link(i)
+                for child in (deliver[i], drop[i]):
+                    c = value.get(child)
+                    if c is None:
                         stack.append(child)
-                    elif child.value is _OPEN:
+                    elif c is _OPEN:
                         raise _cycle("is reachable from itself; exact exploration needs an "
                                      "acyclic deduction graph")
                 continue
-            if node.value is _OPEN:
-                node.value = (0 if node.deliver is None else rho * node.deliver.value) + \
-                    (0 if node.drop is None else d * node.drop.value)
+            if v is _OPEN:
+                value[i] = rho * value[deliver[i]] + d * value[drop[i]]
             stack.pop()
-        return ExplorationResult(Fraction(graph.root.value), len(graph.nodes), graph.branching)
+        return ExplorationResult(Fraction(value[graph.root]), len(graph.nodes), graph.branching)
 
 
 # ---------------------------------------------------------------------------
@@ -603,11 +609,11 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Sample executions of the global semantics with Bernoulli medium outcomes.
 
-    Each run walks next-medium-node tables over the deduction graph from its
-    root, drawing one number per medium node it passes; a traced run steps
-    the engine instead and draws at the same configs.  All runs of a call
-    share one stream, seeded from the seed's decimal text (so seeds 5 and -5
-    differ), and run k takes its draws after runs 0..k-1.  The output is
+    Each run walks the linked deduction graph from its root, drawing one
+    number per medium node it passes; a traced run steps the engine instead
+    and draws at the same configs.  All runs of a call share one stream,
+    seeded from the seed's decimal text (so seeds 5 and -5 differ), and run
+    k takes its draws after runs 0..k-1.  The output is
     deterministic for a given seed and sigma, and prefix-stable: the first n
     runs and their traces are the same for any runs >= n.  Choices that are
     no medium decision are resolved in the fixed order explore_sync uses.
@@ -617,114 +623,74 @@ def run_monte_carlo(
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     graph = _Graph(csas, sigma, drop_prob)
-    tables = _Tables(graph)  # built whole: it raises on a loop before any run, traced or not
+    _link_all(graph)  # it raises on a loop before any run, traced or not
     rng = random.Random(str(seed))
     if collect_traces:
         traces = [_trace(graph, k, rng.random) for k in range(runs)]
         successes = sum(t["outcome"] == _SUCCESS for t in traces)
     else:
-        traces, successes = None, tables.walk(runs, rng.random)
+        traces, successes = None, _walk(graph, runs, rng.random)
     return MonteCarloResult(runs, successes, runs - successes, successes / runs, traces)
 
 
-# Walk-table entries for the end of a run.  _Tables.walk counts successes
-# from the sum of the end codes, so they must stay -1 and -2: with s
-# successes in n runs the codes sum to -s - 2(n - s) = s - 2n.
-_END_SUCCESS, _END_FAILURE = -1, -2
-
-
-class _Tables:
-    """Next-medium-node tables over a deduction graph, for sampled runs.
-
-    Index i names the i-th medium node reached from the root.  deliver[i] and
-    drop[i] give the index of the medium node a run reaches next after that
-    outcome, or _END_SUCCESS / _END_FAILURE at an end.  An outcome of
-    probability 0 holds _END_FAILURE and is never read.
-
-    Every index can reach an end through outcomes of positive probability, or
-    the build raises DivergenceDetected.  A walk is then absorbed with
-    probability 1 (the tables are a finite absorbing Markov chain), so it
-    needs no step bound.
-    """
-
-    def __init__(self, graph: _Graph):
-        self.graph = graph
-        self.index: dict = {}  # medium node -> index
-        self.nodes: list = []
-        self.root = self._entry(graph.root)
-        self.deliver: list = []
-        self.drop: list = []
-        for node in self.nodes:  # _entry appends the nodes met along the way
-            if node.raw is not None:
-                graph.link(node)
-            self.deliver.append(self._entry(node.deliver))
-            self.drop.append(self._entry(node.drop))
-        self._check_ends()
-
-    def walk(self, runs: int, draw) -> int:
-        """Walk runs from the root and return how many succeed.  Each
-        medium decision calls draw() once and drops the message when the
-        result is below the drop probability.
-
-        A run pays only for its draws: a root that is an end decides every
-        run with no draw, each run's first decision reads the root's two
-        entries fetched once, and successes are counted from the sum of the
-        end codes rather than by a compare per run."""
-        d, deliver, drop, root = self.graph.drop_prob, self.deliver, self.drop, self.root
-        if root < 0:
-            return runs if root == _END_SUCCESS else 0
-        first_drop, first_deliver = drop[root], deliver[root]
-        ends = 0
-        for _ in repeat(None, runs):
-            i = first_drop if draw() < d else first_deliver
-            while i >= 0:
-                i = drop[i] if draw() < d else deliver[i]
-            ends += i
-        return 2 * runs + ends
-
-    def _entry(self, node: Optional[_Node]) -> int:
-        # The index of a medium node, or the code of an end; None, an outcome
-        # of probability 0, ends in failure.
-        if node is None or node is _FAILURE_NODE:
-            return _END_FAILURE
-        if node is _SUCCESS_NODE:
-            return _END_SUCCESS
-        i = self.index.get(node)
-        if i is None:
-            i = self.index[node] = len(self.nodes)
-            self.nodes.append(node)
-        return i
-
-    def _check_ends(self) -> None:
-        # Raise unless every index reaches an end through outcomes of
-        # positive probability: search backward from the entries that end.
-        into: list = [[] for _ in self.nodes]
-        ending = set()
-        for i, node in enumerate(self.nodes):
-            for child, t in ((node.deliver, self.deliver[i]), (node.drop, self.drop[i])):
-                if child is None:
-                    continue
+def _link_all(graph: _Graph) -> None:
+    """Link every medium node of a graph none of whose nodes is linked yet,
+    and raise DivergenceDetected unless each can reach an end through
+    outcomes of positive probability.  A walk is then absorbed with
+    probability 1 (the graph is a finite absorbing Markov chain), so it
+    needs no step bound."""
+    raw, d = graph.raw, graph.drop_prob
+    for i, _ in enumerate(raw):  # linking node i appends the new nodes it meets
+        graph.link(i)
+    # Search backward from the outcomes that end.
+    into: list = [[] for _ in raw]
+    ending = set()
+    for side, followed in ((graph.deliver, d < 1.0), (graph.drop, d > 0.0)):
+        if followed:
+            for i, t in enumerate(side):
                 if t < 0:
                     ending.add(i)
                 else:
                     into[t].append(i)
-        stack = list(ending)
-        while stack:
-            for i in into[stack.pop()]:
-                if i not in ending:
-                    ending.add(i)
-                    stack.append(i)
-        if len(ending) == len(self.nodes):
-            return
-        if 0.0 < self.graph.drop_prob < 1.0:
-            raise _cycle("repeats, and no random medium outcome leaves its loop")
-        raise _cycle("repeats with no random medium outcome in between")
+    stack = list(ending)
+    while stack:
+        for i in into[stack.pop()]:
+            if i not in ending:
+                ending.add(i)
+                stack.append(i)
+    if len(ending) == len(raw):
+        return
+    if 0.0 < d < 1.0:
+        raise _cycle("repeats, and no random medium outcome leaves its loop")
+    raise _cycle("repeats with no random medium outcome in between")
+
+
+def _walk(graph: _Graph, runs: int, draw) -> int:
+    """Walk runs from the root of a linked graph and return how many
+    succeed.  Each medium decision calls draw() once and drops the message
+    when the result is below the drop probability.
+
+    A run pays only for its draws: a root that is an end decides every run
+    with no draw, each run's first decision reads the root's two outcomes
+    fetched once, and successes are counted from the sum of the ends rather
+    than by a compare per run."""
+    d, deliver, drop, root = graph.drop_prob, graph.deliver, graph.drop, graph.root
+    if root < 0:
+        return runs if root == _END_SUCCESS else 0
+    first_drop, first_deliver = drop[root], deliver[root]
+    ends = 0
+    for _ in repeat(None, runs):
+        i = first_drop if draw() < d else first_deliver
+        while i >= 0:
+            i = drop[i] if draw() < d else deliver[i]
+        ends += i
+    return 2 * runs + ends
 
 
 def _trace(graph: _Graph, run: int, draw) -> dict:
     """One run stepped through the engine from the initial config, with its
     record.  Each medium config calls draw() once and drops the message when
-    the result is below the drop probability, as _Tables.walk does; elsewhere
+    the result is below the drop probability, as _walk does; elsewhere
     the run takes the first successor, up to the end."""
     engine, rho, cfg, d = graph.engine, [], graph.engine.initial(), graph.drop_prob
     while not engine.is_success(cfg):

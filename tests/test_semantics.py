@@ -463,10 +463,14 @@ def test_medium_loop_without_exit_is_reported_as_a_cycle(drop_prob):
     (0.5, "repeats, and no random medium outcome leaves its loop"),
 ])
 def test_a_loop_without_exit_is_named_by_its_outcomes(drop_prob, why):
-    # At drop probability 0 or 1 every medium outcome is certain.
-    sigma = E0 + (GlobalEvent("e1", "B", "A"),)
+    # At drop probability 0 or 1 every medium outcome is certain.  The check
+    # runs when the graph is linked, so a walk that would never end is
+    # never started.
+    csas, sigma = no_exit_loop_csas(), E0 + (GlobalEvent("e1", "B", "A"),)
     with pytest.raises(DivergenceDetected, match=why):
-        run_monte_carlo(no_exit_loop_csas(), drop_prob, sigma, runs=1, seed=0)
+        semantics._link_all(semantics._Graph(csas, sigma, drop_prob))
+    with pytest.raises(DivergenceDetected, match=why):
+        run_monte_carlo(csas, drop_prob, sigma, runs=1, seed=0)
 
 
 @pytest.mark.parametrize("drop_prob", [0.01, 0.5])

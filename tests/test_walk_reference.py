@@ -4,16 +4,16 @@
 stepper lists them all, and the two must agree on every configuration the
 reference reaches.
 
-`run_monte_carlo` walks next-medium-node tables for untraced runs and steps
-its engine for traced ones.  The reference here steps the execution engine,
-without its zeroing of dead counters, one configuration at a time, draws one
-number at every medium decision and builds the deduced sequence as it goes,
-the way the global rules read.
+`run_monte_carlo` walks the linked deduction graph for untraced runs and
+steps its engine for traced ones.  The reference here steps the execution
+engine, without its zeroing of dead counters, one configuration at a time,
+draws one number at every medium decision and builds the deduced sequence as
+it goes, the way the global rules read.
 All three must give the same outcome, deduced sequence and final states for
 every run of every seed.
-Building the tables must also explore no more configurations than the exact
-check does, and the exact check must give the probability of the runs the
-reference takes, computed over the same engine in fractions.
+Linking the graph whole must also explore no more configurations than the
+exact check does, and the exact check must give the probability of the runs
+the reference takes, computed over the same engine in fractions.
 """
 
 import random
@@ -25,14 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protoforge import (
+    DivergenceDetected,
     enumerate_sequences,
     explore_sync,
     parse_spec,
     run_monte_carlo,
     synthesize_for_car,
 )
-from protoforge.semantics import (_DEAD, _END_FAILURE, _END_SUCCESS, _Compiled, _Graph, _Tables,
-                                  _trace, _trace_items)
+from protoforge.semantics import (_DEAD, _END_FAILURE, _END_SUCCESS, _Compiled, _Graph,
+                                  _link_all, _trace, _trace_items, _walk)
 from protoforge.speclang import GlobalEvent, events_of
 from conftest import (choice_everywhere_csas, dead_deduction_csas, handoff_guard_csas,
                       handoff_reception_csas, handoff_sync_csas, medium_loop_csas,
@@ -186,7 +187,7 @@ def test_untraced_runs_with_no_medium_decision_draw_nothing(monkeypatch, make, s
 
     monkeypatch.setattr(semantics.random, "Random", Counted)
     csas = make()
-    assert _Tables(_Graph(csas, sigma, drop_prob)).root == end
+    assert _Graph(csas, sigma, drop_prob).root == end
     result = run_monte_carlo(csas, drop_prob, sigma, runs=1000, seed=7)
     assert result.successes == (1000 if end == _END_SUCCESS else 0)
     assert draws == []
@@ -211,14 +212,61 @@ CHAIN8 = ("delta 0.6; cars A B; "
 
 @pytest.mark.parametrize("text, bounds", BENCH_SPECS + (CHAIN8,))
 def test_tables_build_no_more_of_the_graph_than_the_exact_check(text, bounds):
-    # The tables are built whole before the first run, over the same graph
-    # as exact exploration, so they never need more configs than it does.
+    # The graph is linked whole before the first run, and the exact check
+    # links it lazily, so the walk never needs more configs than it does.
     full, csas = _synthesize(text, bounds)
     for pseq in enumerate_sequences(full.protocol):
         graph = _Graph(csas, pseq.events, full.delta)
-        _Tables(graph)
+        _link_all(graph)
         exact = explore_sync(csas, full.delta, pseq.events)
         assert len(graph.nodes) <= exact.configs_processed
+
+
+def positive_reach(graph) -> set:
+    """The medium node ids a walk from the root can reach through outcomes
+    of positive probability."""
+    d = graph.drop_prob
+    sides = [side for side, followed in ((graph.deliver, d < 1.0), (graph.drop, d > 0.0))
+             if followed]
+    seen, todo = set(), [graph.root]
+    while todo:
+        i = todo.pop()
+        if i >= 0 and i not in seen:
+            seen.add(i)
+            todo.extend(side[i] for side in sides)
+    return seen
+
+
+def test_linked_node_ids_are_dense():
+    # A walk that ends at an end or joins an earlier one hands its mark on
+    # to the next walk, so a graph linked whole numbers its medium nodes
+    # 0..n-1, each named by some config and reached from the root.
+    rng = random.Random(23)
+    cases = []
+    for _ in range(15):
+        tree = random_dialogue(rng)
+        bounds = {e: rng.randint(0, 3) for e in events_of(tree)}
+        csas = [synthesize_for_car(tree, car, bounds) for car in ("A", "B")]
+        cases.extend((csas, pseq.events, False) for pseq in enumerate_sequences(tree))
+    cases += [(medium_loop_csas(), (GlobalEvent("e0", "A", "B"),), True),
+              (dead_deduction_csas(), (GlobalEvent("e0", "A", "B"), GlobalEvent("e1", "A", "B")),
+               False)]
+    sizes = Counter()
+    for csas, sigma, loops in cases:
+        for drop_prob in (0.0, 0.35, 1.0):
+            graph = _Graph(csas, sigma, drop_prob)
+            if loops and drop_prob == 1.0:  # every copy lost: the retry loop never ends
+                with pytest.raises(DivergenceDetected, match="cycle"):
+                    _link_all(graph)
+            else:
+                _link_all(graph)
+            n = len(graph.raw)
+            assert graph.raw == [None] * n
+            assert len(graph.deliver) == len(graph.drop) == n
+            assert {i for i in graph.nodes.values() if i >= 0} == set(range(n))
+            assert positive_reach(graph) == set(range(n))
+            sizes[n > 1] += 1
+    assert sizes[True] > 20 and sizes[False] > 0, sizes
 
 
 HAND_WRITTEN = (
@@ -284,12 +332,16 @@ def test_step_is_the_first_of_the_reference_successors():
 
 def test_a_draw_equal_to_the_drop_probability_delivers():
     # A medium decision drops only when its draw is below the drop
-    # probability, in a traced run as in the table walk: drawing exactly the
-    # drop probability every time delivers every broadcast.
-    for csas, sigma in CASES:
+    # probability, in a traced run as in the graph walk: drawing exactly the
+    # drop probability every time delivers every broadcast.  With no
+    # retransmission, a drop at any decision, the first included, fails.
+    full, csas = _synthesize("delta 0.35; cars A B; a A->B . b B->A : 0.1", (0, 0))
+    once = [(csas, pseq.events) for pseq in enumerate_sequences(full.protocol)]
+    for csas, sigma in CASES + once:
         graph = _Graph(csas, sigma, 0.35)
         assert _trace(graph, 0, lambda: 0.35)["outcome"] == "success"
-        assert _Tables(graph).walk(1, lambda: 0.35) == 1
+        _link_all(graph)
+        assert _walk(graph, 1, lambda: 0.35) == 1
 
 
 def reference_live(csa) -> list:

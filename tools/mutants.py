@@ -1,10 +1,11 @@
 """Mutation testing of src/protoforge, with the standard library only.
 
 A mutant changes one site of the package: a comparison operator turned into
-its neighbour (< and <=, > and >=, == and !=), + and - swapped, `and` and
-`or` swapped, or an int constant plus 1.  The sites are found with `ast` and
-the change is spliced into the source text, so every other line stays as it
-is.  A sample of the sites, drawn with a fixed seed, runs one mutant at a
+its neighbour (< and <=, > and >=, == and !=), an identity or membership
+test negated (`is` and `is not`, `in` and `not in`), + and - swapped, `and`
+and `or` swapped, or an int constant plus 1.  The sites are found with `ast`
+and the change is spliced into the source text, so every other line stays as
+it is.  A sample of the sites, drawn with a fixed seed, runs one mutant at a
 time: each on a fresh temporary copy of src/, tests/, bench/ and
 pyproject.toml, with the Tier-1 suite under -x and a timeout, since a mutant
 can loop.  A mutant is killed when the suite fails or times out.  The report
@@ -43,9 +44,11 @@ SUITE = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-co
 
 SWAPS = {
     ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=", ast.NotEq: "==",
+    ast.Is: "is not", ast.IsNot: "is", ast.In: "not in", ast.NotIn: "in",
     ast.Add: "-", ast.Sub: "+", ast.And: "or", ast.Or: "and",
 }
 TOKENS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
+          ast.Is: "is", ast.IsNot: "is not", ast.In: "in", ast.NotIn: "not in",
           ast.Add: "+", ast.Sub: "-", ast.And: "and", ast.Or: "or"}
 
 

@@ -37,7 +37,8 @@ sum (lexicographic within a sum), and each partial vector is tested whole:
 with its tail still at top it bounds every constraint from above, so a
 failure prunes it.  Backtracking puts top back.  Infeasibility is reported
 either analytically via the supremum rho/(1 - d*rho) or as an infeasible
-all-cap vector.
+all-cap vector.  Past PROTOFORGE_BUDGET candidate vectors tested, the search
+raises DivergenceDetected.
 
 Two module-level LRU tables, each bounded at 2^16 entries, hold the values of
 P: `_levels` per (suffix, d), whose last entry is P of a sequence of three or
@@ -53,10 +54,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from operator import itemgetter
 from typing import Sequence, Union
 
-from .errors import NotWellPosed, SequenceTooShort
+from .errors import DivergenceDetected, NotWellPosed, SequenceTooShort, _budget
 from .speclang import FullSpec, SpecNode, enumerate_sequences, events_of, well_posed
 
 DEFAULT_CAP = 512  # the default largest retransmission bound searched
@@ -197,6 +199,7 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
         raise ValueError("cap must be nonnegative")
     _check_delta(drop_prob)
     k = len(events)
+    budget, tested = _budget(), count(1)
 
     sup = sup_sync_prob_two(drop_prob)
     for idxs, p in constraints:
@@ -214,6 +217,9 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
     checks = [(itemgetter(*idxs), _evaluator(len(idxs)), p) for idxs, p in constraints]
 
     def feasible(vec):
+        if next(tested) > budget:
+            raise DivergenceDetected(f"bound search exceeded {budget} candidate vectors; "
+                                     "set PROTOFORGE_BUDGET to raise the limit")
         for pick, prob, p in checks:
             if not prob(pick(vec), drop_prob) >= p:
                 return False

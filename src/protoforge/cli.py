@@ -16,9 +16,9 @@ Exit codes: 0 success, 1 requirement not met (unrealizable or verification
 failure, or a specification `feasible` finds not well-posed), 2 malformed
 input or I/O error (including a grid with a non-finite or, for --grid-n,
 non-integer value, a grid of more than MAX_GRID_POINTS points, and medium
-parameters out of their domain), 3 exploration budget exhausted or a cycle
-in the deductions of hand-written CSAs.
-Only PROTOFORGE_BUDGET sets the budget of distinct configurations (default 10^7).
+parameters out of their domain), 3 work budget exhausted (configs explored
+or bound vectors tested) or a cycle in the deductions of hand-written CSAs.
+Only PROTOFORGE_BUDGET sets the budget (default 10^7).
 
 `main` may be called any number of times in one process; the argument parser
 is built on first use and shared by every later call.
@@ -99,12 +99,13 @@ def _print_wellposed(report):
 def cmd_check(args) -> int:
     full = _load_spec(args.spec, args.delta)
     report = well_posed(full.protocol)
+    # Solved before anything is printed: a budget error prints nothing.
+    solved = bounds_mod.solve_opt(full.protocol, full.delta, cap=args.cap) if report.ok else None
     _print_wellposed(report)
     if not report.ok:
         print("realizable: no")
         return EXIT_FAIL
     print(f"delta: {full.delta!r}")
-    solved = bounds_mod.solve_opt(full.protocol, full.delta, cap=args.cap)
     if isinstance(solved, bounds_mod.Infeasible):
         print(f"realizable: no ({solved})")
         return EXIT_FAIL

@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its one work budget."""
+
+import os
+
+DEFAULT_BUDGET = 10_000_000  # units of work; PROTOFORGE_BUDGET overrides it
 
 
 class ProtoforgeError(Exception):
@@ -43,8 +47,24 @@ class SequenceTooShort(ProtoforgeError):
 
 
 class DivergenceDetected(ProtoforgeError):
-    """Deduction exceeded its configuration budget or ran into a cycle."""
+    """Deduction or the bound search exceeded its budget, or deduction cycled."""
 
 
 class InvalidParams(ProtoforgeError):
     """Physical medium parameters violate their domain constraints."""
+
+
+def _budget() -> int:
+    """PROTOFORGE_BUDGET, or DEFAULT_BUDGET when it is unset or empty: the
+    distinct configs of an exploration, or the candidate vectors of a bound
+    search.  Anything but a positive integer raises ValueError."""
+    text = os.environ.get("PROTOFORGE_BUDGET")
+    if not text:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"PROTOFORGE_BUDGET must be a positive integer, got {text!r}")
+    return budget

@@ -22,7 +22,8 @@ Every other choice is resolved by one fixed order, the engine's order of
 successors: at a hand-off the cars in owner order, and within a car its
 environment-triggered moves, conditional moves, timeouts and receptions in
 that order, each in `Csa.ordered_transitions` order; a delivered broadcast
-goes to the first reception enabled for it.  Synthesized CSAs never offer
+goes to the first reception enabled for it.  The engine takes the first
+successor in that order and looks no further.  Synthesized CSAs never offer
 such a choice; hand-written ones may.  A nondeterministic model has a
 probability only once its choices are resolved, so both checks resolve them
 alike, and the exact value is the probability of the runs Monte Carlo samples.
@@ -45,7 +46,6 @@ goes.
 from __future__ import annotations
 
 import functools
-import os
 import random
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
@@ -55,26 +55,8 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .csa import Csa, Message
-from .errors import DivergenceDetected
+from .errors import DivergenceDetected, _budget
 from .speclang import GlobalEvent, SpecNode, enumerate_sequences
-
-DEFAULT_BUDGET = 10_000_000  # distinct configs; PROTOFORGE_BUDGET overrides it
-
-
-def _budget() -> int:
-    """The exploration budget: PROTOFORGE_BUDGET, or DEFAULT_BUDGET when it
-    is unset or empty.  Anything but a positive integer raises ValueError."""
-    text = os.environ.get("PROTOFORGE_BUDGET")
-    if not text:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(text)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise ValueError(f"PROTOFORGE_BUDGET must be a positive integer, got {text!r}")
-    return budget
-
 
 # ---------------------------------------------------------------------------
 # Trace items (elements of the deduced sequence rho)
@@ -146,10 +128,8 @@ class RecvItem:
 # where the fuse key is _ENV for an environment-triggered event, the
 # target-sequence entry a plain system event completes, or None; a new tail
 # ("b", msg id) is completed with the tail it restores, and the note
-# (car, label, skip) names the trace items the move appends to rho:
-# _trace_items builds them from the transition's label, less the first skip
-# (a reception at a hand-off appends no RecvItem).  Only traced runs build
-# trace items.
+# (car, label) names the trace items the move appends to rho (_step_items).
+# Only traced runs build trace items.
 
 _TAIL_OTHER = ("o",)
 _DEAD = "dead"
@@ -159,7 +139,7 @@ _NO_RECV: dict = {}  # the receptions of a state without any; never changed
 
 def _trace_items(note) -> tuple:
     """The trace items of a move's note: for a reception, led by its RecvItem."""
-    car, label, skip = note
+    car, label = note
     kind = label.kind
     if kind == "env":
         e = label.event
@@ -169,14 +149,21 @@ def _trace_items(note) -> tuple:
     if kind == "timeout-upd":
         return (TimeoutItem(car, label.var),)
     if kind == "recv-upd":
-        return (RecvItem(label.msg),)[skip:]
+        return (RecvItem(label.msg),)
     e = label.event  # a system event, after a timeout or a reception for those kinds
     items = (SysItem(car, e.name, e.peer, e.data, e.special),)
     if kind == "timeout-sys":
         items = (TimeoutItem(car, e.name),) + items
     elif kind == "recv-sys":
         items = (RecvItem(label.msg),) + items
-    return items[skip:]
+    return items
+
+
+def _step_items(tail, note) -> tuple:
+    """The trace items a step from a config with this tail appends to rho.
+    Only a hand-off receives at an ("r", msg id) tail, and rho ends with its RecvItem."""
+    items = _trace_items(note)
+    return items[1:] if tail[0] == "r" and type(items[0]) is RecvItem else items
 
 
 class _Machine:
@@ -207,7 +194,7 @@ class _Machine:
         for (src, label), dst in csa.ordered_transitions:
             s, d = state_idx[src], state_idx[dst]
             pred[d].append(s)
-            note, kind = (owner, label, 0), label.kind
+            note, kind = (owner, label), label.kind
             if kind == "env":
                 e = label.event
                 env[s] += (((e.name, owner, e.peer, e.data), (_ENV, None, _TAIL_OTHER, d, note)),)
@@ -299,50 +286,44 @@ class _Engine:
         return (locals_, self.car_idx[priority], _TAIL_OTHER, 0, 0, 0)
 
     def step(self, cfg):
-        """The engine's first successor of cfg: (config, note, dropped, more),
-        where note names the trace items of the move taken (_trace_items), or
+        """The engine's first successor of cfg: (config, note, dropped),
+        where note names the trace items of the move taken (_step_items), or
         is None when none is.  dropped is the config a drop leaves at a
         medium decision, where config is the first delivery, and None
-        elsewhere; more tells whether any other successor exists.  config is
-        None when cfg is stuck and _DEAD when the deduction dies.  The order:
-        the destination's receptions at a broadcast tail; else the priority
-        holder's immediate moves, or else its timeouts; else a hand-off."""
+        elsewhere.  config is None when cfg is stuck and _DEAD when the
+        deduction dies.  The order: the destination's receptions at a
+        broadcast tail; else the priority holder's own moves; else a
+        hand-off, to the first car in car order with an own move or a
+        reception of the message at a ("r", msg id) tail."""
         locals_, pr, tail, done, pending, parts = cfg
-        dropped, more = None, False
+        dropped = None
         if tail[0] == "b":
             msg = tail[1]
             x = self.msg_dst[msg]
             moves = None if x is None else self.machines[x].recv[locals_[x][0]].get(msg)
             lost = (locals_, pr if x is None else x, tail[2], done, pending, parts)
             if not moves:  # no receiver is ready: the broadcast is discarded
-                return lost, None, None, False
-            move, more, dropped = moves[0], len(moves) > 1, lost
+                return lost, None, None
+            move, dropped = moves[0], lost
         else:
-            # Immediate moves: the environment-triggered events the target
-            # sequence asks for next, then enabled conditional moves.
-            x, want, move = pr, self.wanted[done + pending], None
-            m = self.machines[pr]
-            state, vals = locals_[pr]
-            for key, mv in m.env[state]:
-                if key == want:
-                    more, move = move is not None, move or mv
-            for vi, op, bound, mv in m.econd[state]:
-                if vals[vi] <= bound if op == "<=" else vals[vi] > bound:
-                    more, move = move is not None, move or mv
-            if move is None:
-                moves = m.timeouts[state]
-                if moves:
-                    move, more = moves[0], len(moves) > 1
+            want = self.wanted[done + pending]
+            x, move = pr, self._own_move(locals_[pr], self.machines[pr], want)
+            if move is None:  # a hand-off: the car that moves takes the priority
+                msg = tail[1] if tail[0] == "r" else None
+                for x, m in enumerate(self.machines):
+                    move = self._own_move(locals_[x], m, want)
+                    if move is not None:
+                        break
+                    moves = m.recv[locals_[x][0]].get(msg)
+                    if moves:
+                        move = moves[0]
+                        break
                 else:
-                    moves = self._hand_off(locals_, tail, want)
-                    x, move = next(moves, (None, None))
-                    if move is None:
-                        return None, None, None, False
-                    more = next(moves, None) is not None
+                    return None, None, None
         fuse, inc, new_tail, dst, note = move
         if fuse is _ENV:
             if pending:  # a second call while one is pending kills the deduction
-                return _DEAD, note, None, more
+                return _DEAD, note, None
             pending = 1
         elif pending and fuse == self.wanted[done]:
             # A plain system event matching the pending environment event
@@ -357,25 +338,22 @@ class _Engine:
         if new_tail[0] == "b":
             new_tail += (tail,)
         return ((locals_[:x] + ((dst, vals),) + locals_[x + 1:], x, new_tail, done, pending,
-                 parts | (1 << x)), note, dropped, more)
+                 parts | (1 << x)), note, dropped)
 
-    def _hand_off(self, locals_, tail, want):
-        # Any car may act, by any rule, and takes the priority: (car, move)
-        # in car order.  A reception of the message at the tail appends no
-        # RecvItem.
-        msg = tail[1] if tail[0] == "r" else None
-        for x, m in enumerate(self.machines):
-            state, vals = locals_[x]
-            for key, move in m.env[state]:
-                if key == want:
-                    yield x, move
-            for vi, op, bound, move in m.econd[state]:
-                if vals[vi] <= bound if op == "<=" else vals[vi] > bound:
-                    yield x, move
-            for move in m.timeouts[state]:
-                yield x, move
-            for fuse, inc, new_tail, dst, note in m.recv[state].get(msg, ()):
-                yield x, (fuse, inc, new_tail, dst, note[:2] + (1,))
+    @staticmethod
+    def _own_move(local, m, want):
+        # A car's first own move: the environment-triggered event the target
+        # sequence asks for next, else an enabled conditional move, else its
+        # first timeout; None when it has none.
+        state, vals = local
+        for key, move in m.env[state]:
+            if key == want:
+                return move
+        for vi, op, bound, move in m.econd[state]:
+            if vals[vi] <= bound if op == "<=" else vals[vi] > bound:
+                return move
+        moves = m.timeouts[state]
+        return moves[0] if moves else None
 
     def is_success(self, cfg) -> bool:
         locals_, pr, tail, done, pending, parts = cfg
@@ -428,7 +406,6 @@ class _Graph:
         self.raw: list = []
         self.deliver: list = []
         self.drop: list = []
-        self.branching = False  # the first-successor order resolved some choice
         self.root = self.node(self.engine.initial())
 
     def node(self, cfg) -> int:
@@ -457,9 +434,7 @@ class _Graph:
             if cfg[3] == n_sigma and is_success(cfg):
                 found = _END_SUCCESS
                 break
-            cfg, _, dropped, more = step(cfg)
-            if more:
-                self.branching = True
+            cfg, _, dropped = step(cfg)
             if dropped is not None:
                 self.raw.append((cfg, dropped))
                 self.deliver.append(_END_FAILURE)
@@ -497,9 +472,6 @@ _OPEN = "open"  # value of a node whose backward pass is under way
 class ExplorationResult:
     probability: Fraction  # exact, at the decimal of drop_prob
     configs_processed: int  # distinct configs, dead counters zeroed
-    # Some choice that is no medium decision was resolved by the engine's
-    # order; synthesized CSAs never offer one.
-    scheduler_branching: bool
 
 
 def explore_sync(
@@ -541,7 +513,7 @@ def explore_sync(
             if v is _OPEN:
                 value[i] = rho * value[deliver[i]] + d * value[drop[i]]
             stack.pop()
-        return ExplorationResult(Fraction(value[graph.root]), len(graph.nodes), graph.branching)
+        return ExplorationResult(Fraction(value[graph.root]), len(graph.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +666,7 @@ def _trace(graph: _Graph, run: int, draw) -> dict:
     the run takes the first successor, up to the end."""
     engine, rho, cfg, d = graph.engine, [], graph.engine.initial(), graph.drop_prob
     while not engine.is_success(cfg):
-        nxt, note, dropped, _ = engine.step(cfg)
+        nxt, note, dropped = engine.step(cfg)
         if nxt is None:
             break  # stuck
         if dropped is not None and draw() < d:
@@ -702,7 +674,7 @@ def _trace(graph: _Graph, run: int, draw) -> dict:
         if cfg[2][0] == "b":  # a step from a broadcast tail delivers, drops or discards it
             rho.pop()
         if note is not None:
-            rho.extend(_trace_items(note))
+            rho.extend(_step_items(cfg[2], note))
         if nxt is _DEAD:
             break
         cfg = nxt

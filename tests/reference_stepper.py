@@ -3,7 +3,9 @@
 `ReferenceEngine.expand` lists every successor of an engine config, rule by
 rule as the global rules read, over the same compiled CSAs as the engine; the
 engine's own `step` takes only the first of them, and tests check that it
-does.
+does.  `offered_choices` lists the reachable configs where the rules leave
+more than that one successor (at a medium decision, more than one delivery):
+synthesized CSAs must offer none.
 
 A global configuration here holds rho itself, states by name, counters and a
 float probability.  `global_steps` rebuilds the engine config from it and
@@ -103,6 +105,26 @@ class ReferenceEngine(_Engine):
             if tail[0] == "r":
                 out.extend((nxt, items[1:]) for nxt, items in self._r_steps(cfg, x, tail[1]))
         return ("free", out)
+
+
+def reachable(engine):
+    """(config, expand(config)) for every config reachable from the initial
+    one through any successor, first or not."""
+    seen, todo = set(), [engine.initial()]
+    while todo:
+        cfg = todo.pop()
+        if cfg is _DEAD or cfg in seen:
+            continue
+        seen.add(cfg)
+        shape = engine.expand(cfg)
+        yield cfg, shape
+        todo.extend(nxt for nxt, _ in (shape[1] + [shape[2]] if shape[0] == "medium" else shape[1]))
+
+
+def offered_choices(csas, sigma) -> list:
+    """The reachable configs at which the rules offer a choice that is no
+    medium outcome: two successors, or two deliveries of one broadcast."""
+    return [cfg for cfg, shape in reachable(ReferenceEngine(csas, sigma)) if len(shape[1]) > 1]
 
 
 class UnreducedEngine(ReferenceEngine):

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from protoforge import (
+    DivergenceDetected,
     Infeasible,
     NotWellPosed,
     SequenceTooShort,
@@ -157,6 +158,18 @@ def test_solve_opt_cap_exhaustion_is_distinct():
     result = solve_opt(spec.protocol, 0.35, cap=2)
     assert isinstance(result, Infeasible)
     assert not result.proven
+
+
+def test_the_bound_search_tests_no_more_vectors_than_the_budget(monkeypatch, example_spec):
+    # The zero vector alone settles a spec it meets; the example at 0.35
+    # tests 19 vectors: a budget of 19 admits them, one of 18 does not.
+    monkeypatch.setenv("PROTOFORGE_BUDGET", "1")
+    assert all(n == 0 for n in solve_opt(example_spec.protocol, 0.0).values())
+    monkeypatch.setenv("PROTOFORGE_BUDGET", "19")
+    assert sum(solve_opt(example_spec.protocol, 0.35).values()) == 6
+    monkeypatch.setenv("PROTOFORGE_BUDGET", "18")
+    with pytest.raises(DivergenceDetected, match="bound search exceeded 18 candidate vectors"):
+        solve_opt(example_spec.protocol, 0.35)
 
 
 def _count_level_entries(monkeypatch):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -319,17 +320,38 @@ def test_verify_budget_exhaustion(spec_file, synth_dir, capsys, monkeypatch):
     assert code == 3
 
 
-@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("command", ["verify", "simulate", "check", "synth", "feasible"])
 @pytest.mark.parametrize("value", ["abc", "1e3", "-5", "0"])
-def test_a_bad_budget_is_malformed_input(spec_file, synth_dir, capsys, monkeypatch,
+def test_a_bad_budget_is_malformed_input(tmp_path, spec_file, synth_dir, capsys, monkeypatch,
                                          command, value):
     monkeypatch.setenv("PROTOFORGE_BUDGET", value)
-    code, out, err = run(capsys, [
-        command, str(synth_dir / "A.json"), str(synth_dir / "B.json"),
-        "--spec", str(spec_file),
-    ])
+    csas = [str(synth_dir / "A.json"), str(synth_dir / "B.json")]
+    args = {"verify": csas, "simulate": csas, "synth": ["--out", str(tmp_path / "out")]}
+    code, out, err = run(capsys, [command, *args.get(command, []), "--spec", str(spec_file)])
     assert (code, out) == (2, "")
     assert f"PROTOFORGE_BUDGET must be a positive integer, got {value!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+# No all-u vector below the cap meets this requirement, so without a budget
+# the search would enumerate totals up to four times the cap.
+NEAR_ONE_TEXT = ("delta 0.99; cars A B; e0 A->B . e1 B->A . e2 A->B . e3 B->A"
+                 " : 0.007119553069650052")
+
+
+@pytest.mark.parametrize("command", ["check", "synth"])
+def test_the_bound_search_ends_at_the_budget(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("PROTOFORGE_BUDGET", "10000")
+    spec = tmp_path / "near_one.psl"
+    spec.write_text(NEAR_ONE_TEXT + "\n")
+    args = ["--out", str(tmp_path / "out")] if command == "synth" else []
+    start = time.perf_counter()
+    code, out, err = run(capsys, [command, "--spec", str(spec), *args])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == ("error: bound search exceeded 10000 candidate vectors; "
+                   "set PROTOFORGE_BUDGET to raise the limit\n")
+    assert not (tmp_path / "out").exists()
 
 
 def write_csas(directory, csas):

@@ -5,7 +5,8 @@ explored for every sequence of a spec, on the CSAs synthesized at the given
 bounds (in `events_of` order). The chains are the bound vectors of the bench
 `verify` ladder (`VERIFY_CHAINS` in `bench/run.py`), followed by the example
 and a three-leaf tree. A change to the engine's representation must leave
-every row as it is.
+every row as it is. Every config the reference stepper reaches on these
+CSAs offers no choice that is no medium outcome.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 
 from protoforge import enumerate_sequences, explore_sync, parse_spec, synthesize_for_car
 from protoforge.speclang import events_of
+from reference_stepper import offered_choices
 
 
 def _chain(delta, p, n):
@@ -60,5 +62,5 @@ def test_explore_sync_matches_pinned_results(text, vec, pinned):
     for pseq in enumerate_sequences(spec.protocol):
         result = explore_sync(csas, spec.delta, pseq.events)
         got[".".join(e.name for e in pseq.events)] = (result.probability, result.configs_processed)
-        assert not result.scheduler_branching
+        assert offered_choices(csas, pseq.events) == []
     assert got == {seq: (Fraction(p), n) for seq, (p, n) in pinned.items()}

@@ -1,15 +1,18 @@
 """Property-based fuzzing of the two front ends: CSA files through `verify`
-and `simulate`, and `.psl` descriptions through `check`.
+and `simulate`, and `.psl` descriptions through `check` and `synth`.
 
 Every input must end in one of the documented exit codes (0/1/2/3) and never
-in an exception; malformed input (exit 2) must leave stdout empty.
+in an exception; malformed input (exit 2) must leave stdout empty, and so
+must an exhausted bound search (exit 3).
 """
 
 import json
+from decimal import Decimal
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from protoforge.bounds import sync_prob
 from protoforge.cli import main
 from conftest import EXAMPLE_TEXT
 
@@ -108,46 +111,99 @@ def test_verify_on_arbitrary_csa_files_ends_in_an_exit_code(tmp_path, monkeypatc
 
 
 # .psl text: mostly grammatical descriptions of up to six events, some nested
-# in more parentheses than the parser accepts, and token soup or arbitrary
-# text for the rest.
+# in more parentheses than the parser accepts, well-posed chains at a drop
+# bound near 1, and token soup or arbitrary text for the rest.  Requirements
+# are drawn half the time near the supremum rho/(1 - delta*rho) of the drop
+# bound, where the bound search runs longest.
 def mostly(good, bad):
     return st.integers(0, 9).flatmap(lambda k: st.sampled_from(bad) if k == 0 else good)
 
 
 psl_number = mostly(st.sampled_from(("0", "0.3", "0.5", "0.9", "1.0")), ("1.5", "0.3.3", "7"))
+psl_delta = mostly(st.sampled_from(("0", "0.3", "0.5", "0.9", "1.0", "0.99", "0.999", "0.999999")),
+                   ("1.5", "0.3.3", "7"))
+
+
+def decimal_text(x):
+    # The shortest decimal of x, without an exponent, as the grammar reads it.
+    return format(Decimal(repr(x)), "f")
+
+
+def near_sup(delta):
+    # Requirements just below, at and just above the supremum at delta.
+    rho = 1.0 - delta
+    sup = rho / (1.0 - delta * rho)
+    return st.sampled_from([decimal_text(min(1.0, sup * (1.0 - eps)))
+                            for eps in (1e-2, 1e-6, 1e-12, 0.0)]
+                           + [decimal_text(min(1.0, sup + 1e-12))])
+
+
+def leaf_numbers(delta_text):
+    try:
+        delta = float(delta_text)
+    except ValueError:
+        return psl_number
+    return st.one_of(psl_number, near_sup(delta)) if 0.0 <= delta <= 1.0 else psl_number
+
+
 psl_event = st.builds(
     "{} {}{}".format,
     st.sampled_from(("e", "f", "g", "h", "snd", "ack")),
     mostly(st.sampled_from(("A->B", "B->A")), ("A->A", "B->C", "D->A")),
     mostly(st.sampled_from(("", "(d)")), ("()", "(d")),
 )
-psl_phi = st.recursive(
-    st.builds("{} : {}".format, psl_event, psl_number),
-    lambda inner: st.one_of(
-        st.builds("{} . {}".format, psl_event, inner),
-        st.builds("({}) | {}".format, inner, inner),
-        st.builds(lambda depth, phi: "(" * depth + phi + ")" * depth,
-                  st.sampled_from((1, 2, 99, 150, 5000)), inner),
-    ),
-    max_leaves=6,
-)
+
+
+def psl_phi(number):
+    return st.recursive(
+        st.builds("{} : {}".format, psl_event, number),
+        lambda inner: st.one_of(
+            st.builds("{} . {}".format, psl_event, inner),
+            st.builds("({}) | {}".format, inner, inner),
+            st.builds(lambda depth, phi: "(" * depth + phi + ")" * depth,
+                      st.sampled_from((1, 2, 99, 150, 5000)), inner),
+        ),
+        max_leaves=6,
+    )
+
+
+def chain(delta, events, p):
+    names = (f"e{i} {'A->B' if i % 2 == 0 else 'B->A'}" for i in range(events))
+    return f"delta {delta!r}; cars A B; " + " . ".join(names) + f" : {p}"
+
+
+def near_one_chain(delta, events):
+    # A well-posed chain that requires about its supremum or the value of
+    # one all-n bound vector.
+    exact = st.sampled_from((1, 8, 60, 300, 511)).map(
+        lambda n: decimal_text(sync_prob([n] * events, delta)))
+    return st.builds(chain, st.just(delta), st.just(events), st.one_of(near_sup(delta), exact))
+
+
 psl_text = st.integers(0, 9).flatmap(lambda k: (
     st.text(max_size=40) if k == 0 else
     st.lists(st.sampled_from(("delta", "cars", "A", "B", ";", ".", ":", "|", "(", ")", "->",
                               "0.5", "e", "#")), max_size=30).map(" ".join) if k == 1 else
-    st.builds("delta {}; cars {}; {}".format, psl_number,
-              mostly(st.just("A B"), ("A B C", "A", "A A")), psl_phi)
+    st.sampled_from((0.9, 0.99, 0.999, 0.999999)).flatmap(
+        lambda delta: st.integers(2, 5).flatmap(lambda n: near_one_chain(delta, n))) if k <= 5 else
+    psl_delta.flatmap(lambda delta: st.builds(
+        "delta {}; cars {}; {}".format, st.just(delta),
+        mostly(st.just("A B"), ("A B C", "A", "A A")), psl_phi(leaf_numbers(delta))))
 ))
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=psl_text)
-def test_check_on_arbitrary_psl_ends_in_an_exit_code(tmp_path, capsys, text):
+def test_check_on_arbitrary_psl_ends_in_an_exit_code(tmp_path, monkeypatch, capsys, text):
+    # At the default cap a requirement near the supremum can take the bound
+    # search through many candidate vectors; a small budget makes that exit 3.
+    monkeypatch.setenv("PROTOFORGE_BUDGET", "100")
     spec = tmp_path / "fuzz.psl"
     spec.write_text(text, encoding="utf-8")
-    code = main(["check", "--spec", str(spec), "--cap", "2"])
-    out = capsys.readouterr().out
-    assert code in (0, 1, 2, 3)
-    if code == 2:
-        assert out == ""
+    for argv in (["check", "--cap", "2"], ["check"], ["synth", "--out", str(tmp_path / "out")]):
+        code = main([*argv, "--spec", str(spec)])
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2, 3)
+        if code in (2, 3):
+            assert out == ""

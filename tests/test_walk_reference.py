@@ -2,7 +2,9 @@
 
 `_Engine.step` gives the first successor of a configuration; the reference
 stepper lists them all, and the two must agree on every configuration the
-reference reaches.
+reference reaches.  On synthesized CSAs the reference must list no second
+successor anywhere, and the linked graph must be the same at every drop
+probability inside (0, 1).
 
 `run_monte_carlo` walks the linked deduction graph for untraced runs and
 steps its engine for traced ones.  The reference here steps the execution
@@ -33,13 +35,13 @@ from protoforge import (
     synthesize_for_car,
 )
 from protoforge.semantics import (_DEAD, _END_FAILURE, _END_SUCCESS, _Compiled, _Graph,
-                                  _link_all, _trace, _trace_items, _walk)
+                                  _link_all, _step_items, _trace, _walk)
 from protoforge.speclang import GlobalEvent, events_of
 from conftest import (choice_everywhere_csas, dead_deduction_csas, handoff_guard_csas,
                       handoff_reception_csas, handoff_sync_csas, medium_loop_csas,
                       random_dialogue, repeat_sender_csas, timeout_loop_csas,
                       two_choice_csas)
-from reference_stepper import ReferenceEngine, UnreducedEngine
+from reference_stepper import ReferenceEngine, UnreducedEngine, offered_choices, reachable
 
 # The three `simulate` specifications of the benchmark, with its fixed bounds.
 BENCH_SPECS = (
@@ -66,6 +68,17 @@ def _cases():
 
 
 CASES = _cases()
+
+
+def _random_dialogue_cases(seed, count):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        tree = random_dialogue(rng)
+        bounds = {e: rng.randint(0, 3) for e in events_of(tree)}
+        csas = [synthesize_for_car(tree, car, bounds) for car in ("A", "B")]
+        cases.extend((csas, pseq.events) for pseq in enumerate_sequences(tree))
+    return cases
 
 
 def reference_runs(csas, drop_prob, sigma, runs, seed):
@@ -241,13 +254,7 @@ def test_linked_node_ids_are_dense():
     # A walk that ends at an end or joins an earlier one hands its mark on
     # to the next walk, so a graph linked whole numbers its medium nodes
     # 0..n-1, each named by some config and reached from the root.
-    rng = random.Random(23)
-    cases = []
-    for _ in range(15):
-        tree = random_dialogue(rng)
-        bounds = {e: rng.randint(0, 3) for e in events_of(tree)}
-        csas = [synthesize_for_car(tree, car, bounds) for car in ("A", "B")]
-        cases.extend((csas, pseq.events, False) for pseq in enumerate_sequences(tree))
+    cases = [(csas, sigma, False) for csas, sigma in _random_dialogue_cases(23, 15)]
     cases += [(medium_loop_csas(), (GlobalEvent("e0", "A", "B"),), True),
               (dead_deduction_csas(), (GlobalEvent("e0", "A", "B"), GlobalEvent("e1", "A", "B")),
                False)]
@@ -292,16 +299,15 @@ STEP_CASES = [(make(), sigma) for make, sigma in HAND_WRITTEN + (
     (handoff_reception_csas, E0), (medium_loop_csas, E0))] + CASES
 
 
-def reference_first(engine, cfg):
-    """(config, items, dropped, more) from the reference's full successor list."""
-    shape = engine.expand(cfg)
+def reference_first(shape):
+    """(config, items, dropped) from the reference's full successor list."""
     if shape[0] == "medium":
         (nxt, items), dropped = shape[1][0], shape[2][0]
-        return nxt, items, dropped, len(shape[1]) > 1
+        return nxt, items, dropped
     if not shape[1]:
-        return None, (), None, False
+        return None, (), None
     nxt, items = shape[1][0]
-    return nxt, items, None, len(shape[1]) > 1
+    return nxt, items, None
 
 
 def test_step_is_the_first_of_the_reference_successors():
@@ -309,25 +315,41 @@ def test_step_is_the_first_of_the_reference_successors():
     met = Counter()
     for csas, sigma in STEP_CASES:
         engine = ReferenceEngine(csas, sigma)
-        seen, todo = set(), [engine.initial()]
-        while todo:
-            cfg = todo.pop()
-            if cfg is _DEAD or cfg in seen:
-                continue
-            seen.add(cfg)
-            first = reference_first(engine, cfg)
-            nxt, note, dropped, more = engine.step(cfg)
-            items = () if note is None else _trace_items(note)
-            assert (nxt, items, dropped, more) == first, cfg
-            shape = engine.expand(cfg)
-            succs = shape[1] + [shape[2]] if shape[0] == "medium" else shape[1]
-            todo.extend(nxt for nxt, _ in succs)
+        for cfg, shape in reachable(engine):
+            first = reference_first(shape)
+            nxt, note, dropped = engine.step(cfg)
+            items = () if note is None else _step_items(cfg[2], note)
+            assert (nxt, items, dropped) == first, cfg
             met.update({"config": 1, "medium": first[2] is not None, "stuck": first[0] is None,
-                        "dead": first[0] is _DEAD, "more": first[3],
+                        "dead": first[0] is _DEAD, "choice": len(shape[1]) > 1,
                         "hand-off": cfg[2][0] != "b" and first[0] is not None
-                        and first[0][1] != cfg[1]})
-    assert met["config"] > 700 and all(met[k] > 0 for k in
-                                      ("medium", "stuck", "dead", "more", "hand-off")), met
+                        and first[0][1] != cfg[1],
+                        "hand-off reception": cfg[2][0] == "r" and note is not None
+                        and note[1].kind in ("recv-upd", "recv-sys")})
+    assert met["config"] > 700 and all(met[k] > 0 for k in (
+        "medium", "stuck", "dead", "choice", "hand-off", "hand-off reception")), met
+
+
+def test_synthesized_csas_offer_no_choice():
+    # The engine's order resolves no choice on synthesized CSAs: at every
+    # config reachable through any successor, the rules leave one successor,
+    # or at a medium decision one delivery.  Hand-written ones may offer one.
+    for csas, sigma in CASES + _random_dialogue_cases(31, 30):
+        assert offered_choices(csas, sigma) == [], sigma
+    assert offered_choices(two_choice_csas(), E0)
+
+
+def test_the_linked_graph_does_not_depend_on_delta_inside_0_1():
+    # The engine never reads the drop probability, and linking skips only an
+    # outcome of probability 0, so inside (0, 1) every drop probability
+    # numbers the same medium nodes and links them alike.
+    for csas, sigma in CASES + _random_dialogue_cases(37, 30):
+        lists = set()
+        for drop_prob in (0.01, 0.35, 0.6, 0.99):
+            graph = _Graph(csas, sigma, drop_prob)
+            _link_all(graph)
+            lists.add((graph.root, tuple(graph.deliver), tuple(graph.drop)))
+        assert len(lists) == 1, sigma
 
 
 def test_a_draw_equal_to_the_drop_probability_delivers():

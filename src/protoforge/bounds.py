@@ -203,7 +203,7 @@ def _solve(events: list, constraints: list, drop_prob: float, cap: int) -> Bound
 
     sup = sup_sync_prob_two(drop_prob)
     for idxs, p in constraints:
-        unattainable = p > sup or (p == sup and 0.0 < drop_prob < 1.0 and p > 0.0)
+        unattainable = p > sup or (p == sup and 0.0 < drop_prob < 1.0)
         if unattainable:
             names = ".".join(events[i].name for i in idxs)
             return Infeasible(

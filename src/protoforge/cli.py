@@ -181,26 +181,26 @@ def cmd_simulate(args) -> int:
         return EXIT_INPUT
     full = _load_spec(args.spec, args.delta)
     csas = [import_json(Path(p).read_text()) for p in args.csas]
-    # Every sequence runs before anything is printed or written, so an input
-    # that fails in any of them leaves no partial output.
+    # Every sequence runs, and every trace file is written, before anything is
+    # printed, so an input or a DIR that fails leaves stdout empty.
     results = [
-        (pseq, run_monte_carlo(csas, full.delta, pseq.events, runs=args.runs, seed=args.seed,
-                               collect_traces=args.traces))
+        (".".join(e.name for e in pseq.events),
+         run_monte_carlo(csas, full.delta, pseq.events, runs=args.runs, seed=args.seed,
+                         collect_traces=args.traces))
         for pseq in enumerate_sequences(full.protocol)
     ]
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+        for i, (names, result) in enumerate(results):
+            lines = [json.dumps(t, sort_keys=True) for t in result.traces]
+            _write_text(out_dir / f"traces_{i}_{names}.jsonl", "\n".join(lines) + "\n")
     print(f"delta: {full.delta!r}")
     print(f"seed: {args.seed}")
     print(f"runs: {args.runs}")
-    for i, (pseq, result) in enumerate(results):
+    for names, result in results:
         lo, hi = _wilson95(result.successes, result.runs)
-        names = ".".join(e.name for e in pseq.events)
         print(f"  {names}: {result.successes}/{result.runs} rate {result.empirical_rate!r} "
               f"ci95 [{lo!r}, {hi!r}]")
-        if args.traces:
-            lines = [json.dumps(t, sort_keys=True) for t in result.traces]
-            _write_text(out_dir / f"traces_{i}_{names}.jsonl", "\n".join(lines) + "\n")
     return EXIT_OK
 
 

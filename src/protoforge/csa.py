@@ -11,7 +11,6 @@ configurations (see the semantics module).
 
 from __future__ import annotations
 
-import functools
 import json
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
@@ -179,8 +178,10 @@ def _sort_text(label: TransitionLabel) -> str:
 
 @dataclass
 class Csa:
-    """A communication service automaton. Treat as immutable after construction:
-    its transition order is computed once, on first use."""
+    """A communication service automaton. Treat as immutable after construction.
+    Its `transitions` are held by source state, then label text, whatever order
+    they come in (a dict in that order is kept): the one order that files,
+    drawings and the execution engine list them in."""
 
     owner: str
     states: tuple[StateId, ...]
@@ -189,12 +190,28 @@ class Csa:
     finals: frozenset[StateId]
     transitions: dict[tuple[StateId, TransitionLabel], StateId]
 
-    @functools.cached_property
-    def ordered_transitions(self) -> tuple:
-        """The ((src, label), dst) pairs, by source state and label text: the one
-        order that files, drawings and the execution engine list them in."""
-        return tuple(sorted(self.transitions.items(),
-                            key=lambda kv: (kv[0][0], _sort_text(kv[0][1]))))
+    def __post_init__(self):
+        pairs = list(self.transitions.items())
+        if not _in_order(pairs):
+            self.transitions = dict(sorted(
+                pairs, key=lambda kv: (kv[0][0], _sort_text(kv[0][1]))))
+
+
+def _in_order(pairs: list) -> bool:
+    # Whether the ((src, label), dst) pairs are by source state, then label
+    # text.  The sort text of a label of the seven kinds begins with its
+    # class's name and "(", so two labels of two such kinds compare by their
+    # class names.
+    for ((a, x), _), ((b, y), _) in zip(pairs, pairs[1:]):
+        if a != b:
+            if a > b:
+                return False
+        elif type(x) is not type(y) and type(x) in _SORT_TEXT and type(y) in _SORT_TEXT:
+            if type(x).__name__ > type(y).__name__:
+                return False
+        elif _sort_text(x) > _sort_text(y):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -506,7 +523,7 @@ def export_json(csa: Csa) -> str:
     states = [f'{{{nl6}"id": {_quote(s)},{nl6}"final": {"true" if s in finals else "false"}{nl4}}}'
               for s in csa.states]
     transitions = []
-    for (src, label), dst in csa.ordered_transitions:
+    for (src, label), dst in csa.transitions.items():
         text = (f'{{{nl6}"from": {_quote(src)},{nl6}"to": {_quote(dst)},'
                 f'{nl6}"label": {{{nl8}"kind": {_quote(label.kind)}')
         for name in label.__match_args__:
@@ -538,23 +555,6 @@ def _parse(text: str):
         return json.loads(text, object_pairs_hook=_object)
     except RecursionError:
         raise ValueError("CSA file nests too deeply") from None
-
-
-def _in_order(pairs: list) -> bool:
-    # Whether the ((src, label), dst) pairs of a file, whose labels are of the
-    # seven kinds, are in ordered_transitions' order, as export_json writes
-    # them.  The sort text of such a label begins with its class's name and
-    # "(", so two labels of two kinds compare by their class names.
-    for ((a, x), _), ((b, y), _) in zip(pairs, pairs[1:]):
-        if a != b:
-            if a > b:
-                return False
-        elif type(x) is not type(y):
-            if type(x).__name__ > type(y).__name__:
-                return False
-        elif _sort_text(x) > _sort_text(y):
-            return False
-    return True
 
 
 def _decode(doc) -> tuple:
@@ -597,9 +597,6 @@ def _decode(doc) -> tuple:
     report = validate(csa)
     if not report.ok:
         raise ValueError(f"invalid CSA for {csa.owner!r}: " + "; ".join(report.problems))
-    pairs = list(transitions.items())
-    if _in_order(pairs):
-        csa.__dict__["ordered_transitions"] = tuple(pairs)  # the cached property's value
     return csa, keys + sum(map(len, states))
 
 
@@ -649,7 +646,7 @@ def export_dot(csa: Csa) -> str:
         if s in csa.finals:
             attrs.append("style=dotted")
         lines.append(f"  {q(s)}{' [' + ', '.join(attrs) + ']' if attrs else ''};")
-    for (src, label), dst in csa.ordered_transitions:
+    for (src, label), dst in csa.transitions.items():
         lines.append(f"  {q(src)} -> {q(dst)} [label={q(label_text(label))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

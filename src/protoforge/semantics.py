@@ -21,8 +21,8 @@ env transitions with timeouts or receptions, so rule selection is unaffected).
 Every other choice is resolved by one fixed order, the engine's order of
 successors: at a hand-off the cars in owner order, and within a car its
 environment-triggered moves, conditional moves, timeouts and receptions in
-that order, each in `Csa.ordered_transitions` order; a delivered broadcast
-goes to the first reception enabled for it.  The engine takes the first
+that order, each in `Csa.transitions` order (by source state, then label
+text); a delivered broadcast goes to the first reception enabled for it.  The engine takes the first
 successor in that order and looks no further.  Synthesized CSAs never offer
 such a choice; hand-written ones may.  A nondeterministic model has a
 probability only once its choices are resolved, so both checks resolve them
@@ -191,7 +191,7 @@ class _Machine:
         def receive(s, m, move):
             recv[s] = {**recv[s], m: recv[s].get(m, ()) + (move,)}
 
-        for (src, label), dst in csa.ordered_transitions:
+        for (src, label), dst in csa.transitions.items():
             s, d = state_idx[src], state_idx[dst]
             pred[d].append(s)
             note, kind = (owner, label), label.kind

@@ -152,6 +152,13 @@ def test_solve_opt_infeasible_via_supremum():
     assert elapsed < 0.5  # detected analytically, no sweep
 
 
+def test_solve_opt_at_delta_1_meets_a_requirement_of_0_with_zeros():
+    # At δ 1 the supremum is 0, and a requirement equal to it is met by every
+    # vector: only inside (0, 1) is a requirement at the supremum unattainable.
+    spec = parse_spec("delta 1; cars A B; snd A->B(d) . ack B->A : 0")
+    assert solve_opt(spec.protocol, 1.0) == {e: 0 for e in events_of(spec.protocol)}
+
+
 def test_solve_opt_cap_exhaustion_is_distinct():
     # Feasible in principle (0.84 < sup = 0.8414...) but far beyond a tiny cap.
     spec = parse_spec("delta 0.35; cars A B; snd A->B(d) . ack B->A : 0.84")
@@ -170,6 +177,13 @@ def test_the_bound_search_tests_no_more_vectors_than_the_budget(monkeypatch, exa
     monkeypatch.setenv("PROTOFORGE_BUDGET", "18")
     with pytest.raises(DivergenceDetected, match="bound search exceeded 18 candidate vectors"):
         solve_opt(example_spec.protocol, 0.35)
+    # The gallop tests all-u vectors only for u below the cap, then the
+    # all-cap vector once: at cap 1 the zero vector and that one, 2 in all.
+    monkeypatch.setenv("PROTOFORGE_BUDGET", "2")
+    assert isinstance(solve_opt(example_spec.protocol, 0.35, cap=1), Infeasible)
+    monkeypatch.setenv("PROTOFORGE_BUDGET", "1")
+    with pytest.raises(DivergenceDetected):
+        solve_opt(example_spec.protocol, 0.35, cap=1)
 
 
 def _count_level_entries(monkeypatch):

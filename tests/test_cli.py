@@ -281,6 +281,9 @@ def test_output_files_are_encoded_as_path_write_text_encodes(tmp_path):
                                                                     result.bounds), indent=2) + "\n")
     assert files_in(out) == files_in(expected)
     assert "é".encode() in files_in(out)["Bé.dot"]
+    # New files get the mode Path.write_text gives them, under the same umask.
+    assert {p.name: p.stat().st_mode for p in out.iterdir()} == {
+        p.name: p.stat().st_mode for p in expected.iterdir()}
 
 
 def test_synth_onto_a_directory_exits_2(tmp_path, spec_file, capsys):
@@ -630,6 +633,20 @@ def test_simulate_out_on_a_file_prints_nothing(tmp_path, spec_file, synth_dir, c
     assert taken.read_text() == "not a directory\n"
 
 
+def test_simulate_trace_file_that_cannot_be_written_prints_nothing(tmp_path, spec_file,
+                                                                  synth_dir, capsys):
+    # Every trace file is written before the report is printed.
+    out_dir = tmp_path / "t"
+    (out_dir / "traces_1_snd.nack.jsonl").mkdir(parents=True)
+    code, out, err = run(capsys, [
+        "simulate", str(synth_dir / "A.json"), str(synth_dir / "B.json"),
+        "--spec", str(spec_file), "--runs", "10", "--traces", "--out", str(out_dir),
+    ])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command", ["synth", "feasible"])
 def test_out_on_a_file_prints_nothing(tmp_path, spec_file, capsys, command):
     # DIR is made before any output, as for simulate above.
@@ -686,6 +703,7 @@ def _grid_must_have(grid, what):
     ("--grid-n", "2:4:0.5", _grid_must_have("2:4:0.5", "integer")),
     ("--grid-dmax", "100:inf:100", _grid_must_have("100:inf:100", "finite")),
     ("--grid-tau", "1:nan:1", _grid_must_have("1:nan:1", "finite")),
+    ("--grid-n", "2:4:0", "grid '2:4:0' must have positive step and stop >= start"),
     # Grid points outside the medium's domain are malformed input too.
     ("--grid-n", "1:3:1", "need at least two cars, got 1"),
     ("--grid-tau", "0:0:1", "minimum delay must be positive, got 0.0"),
@@ -729,6 +747,16 @@ def test_feasible_rejects_oversized_grids(spec_file, capsys, flag, grid, sizes):
     assert code == 2
     assert out == ""
     assert err == f"error: grid of {sizes} points is larger than 1000000\n"
+
+
+def test_feasible_accepts_a_grid_of_exactly_the_largest_size(spec_file, capsys, monkeypatch):
+    monkeypatch.setattr("protoforge.cli.MAX_GRID_POINTS", 8)
+    argv = ["feasible", "--spec", str(spec_file),
+            "--grid-n", "2:3:1", "--grid-dmax", "100:200:100", "--grid-tau", "1:2:1"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and len(out.splitlines()) == 1 + 8
+    argv[4] = "2:4:1"
+    assert run(capsys, argv) == (2, "", "error: grid of 3 x 2 x 2 points is larger than 8\n")
 
 
 def test_feasible_deterministic(tmp_path, spec_file, capsys):
@@ -797,7 +825,12 @@ def test_every_cap_default_is_the_one_in_bounds():
     ]
     options = [build_parser().parse_args(argv + ["--spec", "s.psl"]).cap
                for argv in (["check"], ["synth", "--out", "o"], ["feasible"])]
-    assert {*defaults.values(), *options} == {protoforge.bounds.DEFAULT_CAP}
+    assert {*defaults.values(), *options} == {protoforge.bounds.DEFAULT_CAP} == {512}
+
+
+def test_simulate_defaults_to_10000_runs_at_seed_0():
+    args = build_parser().parse_args(["simulate", "A.json", "--spec", "s.psl"])
+    assert (args.runs, args.seed) == (10000, 0)
 
 
 def test_cap_zero_is_accepted(spec_file, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from dataclasses import dataclass
@@ -106,6 +107,19 @@ def test_validate_undeclared_transition_source():
     csa = Csa("A", ("s0",), (), "s0", frozenset(),
               {("from", EnvEvent(LocalEvent("e", "B", None, "env"))): "s0"})
     assert validate(csa).problems == ("transition source 'from' is not a declared state",)
+
+
+def test_validate_lists_transition_problems_in_the_one_order():
+    # Whatever order a file lists them in, as import_json's message does.
+    go = EnvEvent(LocalEvent("e", "B", None, "env"))
+    text = export_json(Csa("A", ("s0", "s1"), (), "s0", frozenset(), {("s0", go): "s1"}))
+    doc = json.loads(text)
+    doc["transitions"] = [{"from": "s1", "to": "y", "label": doc["transitions"][0]["label"]},
+                          {"from": "s0", "to": "x", "label": doc["transitions"][0]["label"]}]
+    with pytest.raises(ValueError) as exc:
+        import_json(json.dumps(doc))
+    assert str(exc.value) == ("invalid CSA for 'A': transition target 'x' is not a declared "
+                              "state; transition target 'y' is not a declared state")
 
 
 @pytest.mark.parametrize("call, message", [
@@ -386,6 +400,40 @@ def test_sort_text_of_a_label_subclass_is_its_repr():
 
     label = Tagged("nu", 3)
     assert _sort_text(label) == str(label) == repr(label)
+
+
+def canonical(transitions: dict) -> list:
+    # The one order of a CSA's transitions: by source state, then str(label).
+    return sorted(transitions.items(), key=lambda kv: (kv[0][0], str(kv[0][1])))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(csas, st.randoms(use_true_random=False))
+def test_transitions_are_held_in_one_order_whatever_order_they_come_in(csa, rnd):
+    pairs = list(csa.transitions.items())
+    rnd.shuffle(pairs)
+    shuffled = dataclasses.replace(csa, transitions=dict(pairs))
+    assert list(shuffled.transitions.items()) == canonical(csa.transitions)
+    assert list(csa.transitions.items()) == canonical(csa.transitions)
+
+
+def test_labels_of_other_classes_are_ordered_by_their_text():
+    # A label class of its own whose text does not begin with its name: two
+    # labels of two classes compare by class name only when both are of the
+    # seven kinds.
+    @dataclass(frozen=True)
+    class Other(TimeoutUpd):
+        shown: str = ""
+
+        def __str__(self):
+            return self.shown
+
+    event = LocalEvent("go", "B")
+    for first, second in ((Other("nu", "~ after every repr"), TimeoutUpd("nu")),
+                          (EnvEvent(event), Other("nu", "! before every repr"))):
+        csa = Csa("A", ("s0",), ("nu",), "s0", frozenset(),
+                  {("s0", first): "s0", ("s0", second): "s0"})
+        assert [label for _, label in csa.transitions] == [second, first]
 
 
 flat_docs = st.dictionaries(names, st.booleans() | st.integers() | names, max_size=6)

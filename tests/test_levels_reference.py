@@ -21,6 +21,7 @@ from protoforge import (
     sync_prob,
     synthesize_for_car,
 )
+from protoforge import bounds
 
 DELTAS = (0.0, 1.0, 1e-9, 1.0 - 1e-9, 0.35, 0.5, 0.6)
 
@@ -66,6 +67,13 @@ def test_sweep_matches_recursion_bit_for_bit():
         d = rng.choice(deltas)
         assert sync_prob(bounds, d) == reference(bounds, d), (bounds, d)
     phase.cache_clear()
+
+
+def test_each_level_holds_one_entry_per_timeout_count():
+    # Entries for a = 0..rest[0] timeouts left and no more: a level can hold
+    # cap + 1 of them.
+    for rest in ((0,), (3,), (2, 5), (4, 1, 3)):
+        assert len(bounds._levels(rest, 0.35)) == rest[0] + 1, rest
 
 
 def test_sweep_matches_recursion_with_a_bound_of_512():

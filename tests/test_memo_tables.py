@@ -17,6 +17,9 @@ def test_every_memo_table_is_bounded():
     unbounded = sorted(name for name, table in tables.items()
                        if table.cache_parameters()["maxsize"] is None)
     assert unbounded == []
+    # The bounds module documents each of its two tables at 2^16 entries.
+    solver = ("protoforge.bounds._levels", "protoforge.bounds._sync_prob")
+    assert [tables[name].cache_parameters()["maxsize"] for name in solver] == [1 << 16] * 2
 
 
 @pytest.mark.parametrize("text", [EXAMPLE_TEXT, MIXED_TEXT] + [

@@ -10,12 +10,14 @@ summed over the round's operations:
     argv     the command line, parsed by `cli.build_parser()`
     spec     the spec file read and parsed (`cli._load_spec`)
     read     the CSA files read (verify, simulate)
-    import   `csa.import_json` on each CSA file's text
-    sort     `Csa.ordered_transitions` of each loaded CSA
+    import   `csa.import_json` on each CSA file's text, which also puts each
+             CSA's transitions in their one order (a file already in it is
+             kept as it is)
     compile  `semantics._Compiled` of the loaded CSAs
     explore  `explore_sync` per sequence (verify)
     walk     `run_monte_carlo` per sequence (simulate)
-    solve    `synthesize_all` (synth) or `feasibility_sweep` (feasible)
+    solve    `synthesize_all`, the transition sort of each CSA included
+             (synth), or `feasibility_sweep` (feasible)
     export   `export_json` and `export_dot` of each CSA and the text of
              bounds.json (synth), or `sweep_csv` of the rows (feasible)
     output   the output directory made and every file written (`cli._write_text`)
@@ -67,7 +69,6 @@ def _round(pf, ops) -> dict:
         if command in ("verify", "simulate"):
             texts = timed("read", lambda: [Path(p).read_text() for p in args.csas])
             csas = timed("import", lambda: [pf.import_json(t) for t in texts])
-            timed("sort", lambda: [c.ordered_transitions for c in csas])
             compiled = timed("compile", semantics._Compiled, csas)
             sequences = pf.enumerate_sequences(full.protocol)
             if command == "verify":
